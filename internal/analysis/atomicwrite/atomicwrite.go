@@ -37,7 +37,6 @@ var Scope = []string{
 	"internal/experiments",
 	"internal/perf",
 	"internal/serve",
-	"cmd/pdede-analyze",
 	"cmd/pdede-bench",
 	"cmd/pdede-experiments",
 	"cmd/pdede-serve",

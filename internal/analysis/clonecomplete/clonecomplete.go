@@ -3,11 +3,11 @@
 // backing storage by Clone, or be explicitly declared shareable with
 // `//pdede:shared-immutable` on the field.
 //
-// The warm-replay pipeline (core.WarmupContext → per-design Clone →
-// RunWarmContext) and pdede-serve's session restore both assume Clone
-// produces a structure whose mutation can never reach the original: a
-// single shallow-copied slice turns the "byte-identical at any worker
-// count" guarantee into a data race. The deepness property tests catch this
+// Warm replay (core.WarmupContext → per-design Clone of the warmed caches
+// and TAGE → NewWarmSession) assumes Clone produces a structure whose
+// mutation can never reach the original: a single shallow-copied slice
+// turns the "byte-identical at any worker count" guarantee into a data
+// race. The deepness property tests catch this
 // only for types they were written against; this check proves it for every
 // `Clone()` method in a package, including future designs.
 //

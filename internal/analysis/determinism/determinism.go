@@ -58,7 +58,6 @@ var ReportScope = []string{
 	"internal/experiments",
 	"internal/perf",
 	"internal/serve",
-	"cmd/pdede-analyze",
 	"cmd/pdede-bench",
 	"cmd/pdede-experiments",
 	"cmd/pdede-serve",

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -33,7 +34,7 @@ func runWith(t *testing.T, tp btb.TargetPredictor, tr *trace.Memory, app workloa
 	if mod != nil {
 		mod(&cfg)
 	}
-	res, err := Run(cfg, tr)
+	res, err := RunContext(context.Background(), cfg, tr)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -70,15 +71,15 @@ func TestScale(t *testing.T) {
 func TestRunRejectsBadConfig(t *testing.T) {
 	tr, app := testTrace(t, 2000)
 	base, _ := btb.NewBaseline(btb.BaselineConfig{Entries: 512})
-	if _, err := Run(Config{Params: Icelake(), BackendCPI: app.BackendCPI}, tr); err == nil {
+	if _, err := RunContext(context.Background(), Config{Params: Icelake(), BackendCPI: app.BackendCPI}, tr); err == nil {
 		t.Error("nil BTB accepted")
 	}
-	if _, err := Run(Config{Params: Icelake(), BTB: base}, tr); err == nil {
+	if _, err := RunContext(context.Background(), Config{Params: Icelake(), BTB: base}, tr); err == nil {
 		t.Error("zero BackendCPI accepted")
 	}
 	bad := Icelake()
 	bad.RASEntries = 0
-	if _, err := Run(Config{Params: bad, BackendCPI: 0.5, BTB: base}, tr); err == nil {
+	if _, err := RunContext(context.Background(), Config{Params: bad, BackendCPI: 0.5, BTB: base}, tr); err == nil {
 		t.Error("invalid params accepted")
 	}
 }

@@ -68,7 +68,7 @@ func TestRunContextFiniteTrace(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := Run(ctxTestConfig(t), m)
+	want, err := RunContext(context.Background(), ctxTestConfig(t), m)
 	if err != nil {
 		t.Fatal(err)
 	}

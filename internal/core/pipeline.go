@@ -2,19 +2,19 @@ package core
 
 import (
 	"context"
-	"errors"
-	"fmt"
-	"io"
 
-	"repro/internal/btb"
-	"repro/internal/cache"
 	"repro/internal/isa"
-	"repro/internal/predictor"
 	"repro/internal/trace"
 )
 
-// RunPipeline is the repository's second, more literal core model: instead
-// of the analytic runahead credit of Run, it tracks explicit per-block
+// RunPipelineContext is RunContext with cfg.UsePipeline set.
+func RunPipelineContext(ctx context.Context, cfg Config, src trace.Source) (*Result, error) {
+	cfg.UsePipeline = true
+	return RunContext(ctx, cfg, src)
+}
+
+// pipeline is the repository's second, more literal core model: instead
+// of the analytic runahead credit of sim, it tracks explicit per-block
 // timestamps through BPU → fetch-target queue → ICache/fetch → decode →
 // retire, like an event-driven pipeline simulation.
 //
@@ -33,112 +33,10 @@ import (
 // emerge from pipeline geometry rather than being charged as constants —
 // cross-validating the analytic model (see pipeline_test.go).
 //
-// Both models share the bpu (identical prediction, training and MPKI
+// Both models share the frontend (identical prediction, training and MPKI
 // accounting); they differ only in how prediction behaviour becomes cycles.
-func RunPipeline(cfg Config, src trace.Source) (*Result, error) {
-	return RunPipelineContext(context.Background(), cfg, src)
-}
-
-// RunPipelineContext is RunPipeline with cancellation, mirroring
-// RunContext: the record loop observes ctx every few thousand records.
-func RunPipelineContext(ctx context.Context, cfg Config, src trace.Source) (*Result, error) {
-	if err := cfg.Params.Validate(); err != nil {
-		return nil, err
-	}
-	if cfg.BTB == nil {
-		return nil, fmt.Errorf("core: no BTB configured")
-	}
-	if cfg.BackendCPI <= 0 {
-		return nil, fmt.Errorf("core: BackendCPI must be positive")
-	}
-	dir := cfg.Direction
-	if dir == nil {
-		var err error
-		dir, err = predictor.NewTAGE(predictor.DefaultTAGEConfig())
-		if err != nil {
-			return nil, err
-		}
-	}
-	ic, err := cache.New(cfg.Params.ICacheBytes, cfg.Params.ICacheWays, cfg.Params.ICacheLineBytes)
-	if err != nil {
-		return nil, err
-	}
-	l2, err := cache.New(cfg.Params.L2Bytes, cfg.Params.L2Ways, cfg.Params.ICacheLineBytes)
-	if err != nil {
-		return nil, err
-	}
-
-	p := &pipeline{
-		cfg: cfg,
-		ic:  ic,
-		l2:  l2,
-		res: &Result{App: src.Name(), Design: cfg.BTB.Name() + "+pipe"},
-	}
-	p.bpu = &bpu{cfg: &p.cfg, dir: dir, ras: predictor.NewRAS(cfg.Params.RASEntries)}
-	p.effCPI = cfg.BackendCPI
-	if min := 1 / float64(cfg.Params.RetireWidth); p.effCPI < min {
-		p.effCPI = min
-	}
-	p.ftqFree = make([]float64, cfg.Params.FetchQueueEntries)
-	initProduceTab(&p.produceTab, cfg.Params.FetchWidth)
-
-	var auditable btb.Auditable
-	if cfg.AuditEvery != 0 {
-		auditable, _ = cfg.BTB.(btb.Auditable)
-	}
-
-	r := src.Open()
-	records := uint64(0)
-	batch := make([]isa.Branch, recordBatch)
-loop:
-	for {
-		if err := checkCtx(ctx, records); err != nil {
-			return nil, err
-		}
-		n, rerr := trace.ReadBatch(r, batch)
-		for i := 0; i < n; i++ {
-			p.step(batch[i])
-			records++
-			if auditable != nil && records%cfg.AuditEvery == 0 {
-				if err := auditBTB(auditable, records-1); err != nil {
-					return nil, err
-				}
-			}
-			if cfg.MeasureInstrs != 0 && p.measured >= cfg.MeasureInstrs {
-				break loop
-			}
-		}
-		if rerr != nil {
-			if errors.Is(rerr, io.EOF) {
-				break
-			}
-			return nil, rerr
-		}
-		if n == 0 {
-			break
-		}
-	}
-	if auditable != nil {
-		if err := auditBTB(auditable, records); err != nil {
-			return nil, err
-		}
-	}
-	if p.retireEnd > p.measureStart {
-		p.res.Cycles = p.retireEnd - p.measureStart
-	}
-	return p.res, nil
-}
-
 type pipeline struct {
-	cfg    Config
-	bpu    *bpu
-	ic     *cache.Cache
-	l2     *cache.Cache
-	res    *Result
-	effCPI float64
-
-	seen     uint64
-	measured uint64
+	frontend
 
 	// Timestamps, in cycles since simulation start.
 	bpuDone      float64   // last prediction completion
@@ -146,23 +44,28 @@ type pipeline struct {
 	retireEnd    float64   // last retirement completion
 	ftqFree      []float64 // ring: fetch-completion times of the last N blocks
 	ftqPos       int
-	refill       bool    // next prediction pays the BTB extra latency
 	measureStart float64 // retireEnd when the measured window began
 	started      bool
-	// produceTab caches ceil(len/FetchWidth), as in sim.
-	produceTab [produceTabLen]float64
+}
+
+// run steps recs through the model until the measure window fills. It
+// returns the records consumed and whether the window filled.
+func (p *pipeline) run(recs []isa.Branch) (int, bool) {
+	for i := range recs {
+		p.step(recs[i])
+		if p.full() {
+			return i + 1, true
+		}
+	}
+	return len(recs), false
 }
 
 func (p *pipeline) step(b isa.Branch) {
 	par := &p.cfg.Params
-	measuring := p.seen >= p.cfg.WarmupInstrs
+	measuring := p.advance(b)
 	if measuring && !p.started {
 		p.started = true
 		p.measureStart = p.retireEnd
-	}
-	p.seen += uint64(b.BlockLen)
-	if measuring {
-		p.measured += uint64(b.BlockLen)
 	}
 
 	// --- BPU: one block prediction per cycle, gated by FTQ occupancy (the
@@ -196,15 +99,10 @@ func (p *pipeline) step(b isa.Branch) {
 
 	// --- ICache: prefetch fires at FTQ insert; fills are pipelined, from
 	// the L2 when it holds the line and from beyond otherwise.
-	blockStart := b.PC.Add(-uint64(b.BlockLen-1) * isa.InstrBytes)
-	misses := p.ic.AccessRange(blockStart, b.PC)
+	misses, l2miss := fetchBlock(p.ic, p.l2, b)
 	ready := issueAt
 	if misses > 0 {
-		fillLat := float64(par.ICacheMissLat)
-		if l2miss := p.l2.AccessRange(blockStart, b.PC); l2miss > 0 {
-			fillLat = float64(par.L2MissLat)
-		}
-		ready += fillLat + 2*float64(misses-1)
+		ready += p.missLat(l2miss) + 2*float64(misses-1)
 	}
 
 	// --- Fetch: in-order, width-limited.
@@ -236,6 +134,10 @@ func (p *pipeline) step(b isa.Branch) {
 		}
 	}
 	p.retireEnd = newRetireEnd
+	// Cycles is the measured window's retire span, kept current so a
+	// Snapshot between batches reads a live figure. retireEnd never falls,
+	// so the span is never negative.
+	p.res.Cycles = p.retireEnd - p.measureStart
 
 	// --- Resteer: restart the frontend where the misprediction is caught.
 	if pr.penalty > 0 {
@@ -251,14 +153,7 @@ func (p *pipeline) step(b isa.Branch) {
 		p.ftqPos = 0
 		p.refill = true
 		if par.WrongPathLines > 0 {
-			start := b.Fallthrough()
-			if pr.look.Hit && pr.look.Target != b.NextPC() {
-				start = pr.look.Target
-			}
-			line := uint64(par.ICacheLineBytes)
-			for i := 0; i < par.WrongPathLines; i++ {
-				p.ic.Access(start.Add(uint64(i) * line))
-			}
+			p.polluteWrongPath(b, pr.look)
 		}
 	}
 }

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"testing"
 
 	"repro/internal/btb"
@@ -20,7 +21,7 @@ func runPipe(t *testing.T, tp btb.TargetPredictor, tr *trace.Memory, app workloa
 	if mod != nil {
 		mod(&cfg)
 	}
-	res, err := RunPipeline(cfg, tr)
+	res, err := RunPipelineContext(context.Background(), cfg, tr)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -118,11 +119,11 @@ func TestPipelineCrossValidatesAnalytic(t *testing.T) {
 
 func TestPipelineRejectsBadConfig(t *testing.T) {
 	tr, app := testTrace(t, 2000)
-	if _, err := RunPipeline(Config{Params: Icelake(), BackendCPI: app.BackendCPI}, tr); err == nil {
+	if _, err := RunPipelineContext(context.Background(), Config{Params: Icelake(), BackendCPI: app.BackendCPI}, tr); err == nil {
 		t.Error("nil BTB accepted")
 	}
 	b, _ := btb.NewBaseline(btb.BaselineConfig{Entries: 512})
-	if _, err := RunPipeline(Config{Params: Icelake(), BTB: b}, tr); err == nil {
+	if _, err := RunPipelineContext(context.Background(), Config{Params: Icelake(), BTB: b}, tr); err == nil {
 		t.Error("zero CPI accepted")
 	}
 }

@@ -1,82 +1,52 @@
 package core
 
 import (
-	"fmt"
+	"context"
 
 	"repro/internal/btb"
-	"repro/internal/cache"
 	"repro/internal/isa"
-	"repro/internal/predictor"
+	"repro/internal/trace"
 )
 
-// Session is an incrementally-driven simulation: the same core model that
-// RunContext replays from a trace Source, but fed record batches by the
-// caller as they arrive. A long-running service applies each tenant's
-// streamed batches through a Session and snapshots rolling metrics between
-// them; RunContext itself is now a Session drained from a Source, so the
-// two paths are the same code and produce bit-identical results.
+// Session is an incrementally-driven simulation and the package's only
+// simulation engine: RunContext, RunWarmContext and a long-running service
+// all feed record batches through Apply, so whole-trace and batch-streamed
+// runs are the same code and produce bit-identical results. A service
+// applies each tenant's streamed batches through a Session and snapshots
+// rolling metrics between them.
 //
 // A Session is a sequential state machine, like the predictors it drives:
 // callers serialize Apply/Audit/Snapshot themselves (the serve package
 // holds its per-tenant lock around them).
 type Session struct {
-	sim       *sim
+	// Exactly one model is set (cfg.UsePipeline picks); fe is its shared
+	// frontend state.
+	sim  *sim
+	pipe *pipeline
+	fe   *frontend
+
 	auditable btb.Auditable
 	records   uint64
-	name      string
 }
 
-// NewSession validates cfg and assembles the simulation state. The pipeline
-// model keeps whole-trace replay semantics (event timestamps do not
-// checkpoint), so cfg.UsePipeline is rejected here; name labels the
-// Result's App field (RunContext passes the trace's name).
+// NewSession validates cfg and assembles the simulation state of the model
+// cfg.UsePipeline selects; name labels the Result's App field (RunContext
+// passes the trace's name).
 func NewSession(cfg Config, name string) (*Session, error) {
-	if err := cfg.Params.Validate(); err != nil {
-		return nil, err
-	}
-	if cfg.BTB == nil {
-		return nil, fmt.Errorf("core: no BTB configured")
-	}
-	if cfg.BackendCPI <= 0 {
-		return nil, fmt.Errorf("core: BackendCPI must be positive")
-	}
+	se := &Session{}
 	if cfg.UsePipeline {
-		return nil, fmt.Errorf("core: the pipeline model cannot run incrementally (use RunPipelineContext)")
+		se.pipe = &pipeline{}
+		se.fe = &se.pipe.frontend
+	} else {
+		se.sim = &sim{}
+		se.fe = &se.sim.frontend
 	}
-	dir := cfg.Direction
-	if dir == nil {
-		var err error
-		dir, err = predictor.NewTAGE(predictor.DefaultTAGEConfig())
-		if err != nil {
-			return nil, err
-		}
-	}
-	ic, err := cache.New(cfg.Params.ICacheBytes, cfg.Params.ICacheWays, cfg.Params.ICacheLineBytes)
-	if err != nil {
+	if err := se.fe.init(cfg, name); err != nil {
 		return nil, err
 	}
-	l2, err := cache.New(cfg.Params.L2Bytes, cfg.Params.L2Ways, cfg.Params.ICacheLineBytes)
-	if err != nil {
-		return nil, err
+	if se.pipe != nil {
+		se.pipe.ftqFree = make([]float64, cfg.Params.FetchQueueEntries)
 	}
-	ras := predictor.NewRAS(cfg.Params.RASEntries)
-
-	s := &sim{
-		cfg:  cfg,
-		bpu:  &bpu{dir: dir, ras: ras},
-		ic:   ic,
-		l2:   l2,
-		res:  &Result{App: name, Design: cfg.BTB.Name()},
-		lead: 0,
-	}
-	s.bpu.cfg = &s.cfg
-	s.effCPI = cfg.BackendCPI
-	if min := 1 / float64(cfg.Params.RetireWidth); s.effCPI < min {
-		s.effCPI = min
-	}
-	initProduceTab(&s.produceTab, cfg.Params.FetchWidth)
-
-	se := &Session{sim: s, name: name}
 	if cfg.AuditEvery != 0 {
 		se.auditable, _ = cfg.BTB.(btb.Auditable)
 	}
@@ -88,22 +58,48 @@ func NewSession(cfg Config, name string) (*Session, error) {
 // records consumed: n < len(batch) only when the measure window filled
 // (done = true, remaining records untouched) or a periodic audit failed
 // (err != nil; the structure is corrupt and the Session must be discarded).
+//
+// The batch runs in chunks that end at audit points, and the model is
+// chosen once per chunk, so the per-record loop makes no dynamic calls.
 func (se *Session) Apply(batch []isa.Branch) (n int, done bool, err error) {
-	s := se.sim
-	every := s.cfg.AuditEvery
-	for i := range batch {
-		s.step(batch[i])
-		se.records++
-		if se.auditable != nil && se.records%every == 0 {
-			if err := auditBTB(se.auditable, se.records-1); err != nil {
-				return i + 1, false, err
+	every := se.fe.cfg.AuditEvery
+	for n < len(batch) {
+		chunk := batch[n:]
+		if se.auditable != nil {
+			if k := every - se.records%every; k < uint64(len(chunk)) {
+				chunk = chunk[:k]
 			}
 		}
-		if s.cfg.MeasureInstrs != 0 && s.measured >= s.cfg.MeasureInstrs {
-			return i + 1, true, nil
+		var k int
+		if se.pipe != nil {
+			k, done = se.pipe.run(chunk)
+		} else {
+			k, done = se.sim.run(chunk)
+		}
+		n += k
+		se.records += uint64(k)
+		if se.auditable != nil && se.records%every == 0 {
+			if err := auditBTB(se.auditable, se.records-1); err != nil {
+				return n, false, err
+			}
+		}
+		if done {
+			return n, true, nil
 		}
 	}
-	return len(batch), false, nil
+	return n, false, nil
+}
+
+// runSource applies src's records from its start until the trace ends or
+// the measure window fills, then runs the closing audit.
+func (se *Session) runSource(ctx context.Context, src trace.Source) (*Result, error) {
+	if err := drain(ctx, src.Open(), se.Apply); err != nil {
+		return nil, err
+	}
+	if err := se.Audit(); err != nil {
+		return nil, err
+	}
+	return se.Result(), nil
 }
 
 // Audit runs the deep invariant check immediately (when the BTB supports it
@@ -123,8 +119,8 @@ func (se *Session) Records() uint64 { return se.records }
 // Result returns the live result accumulator. RunContext returns it
 // directly; callers that keep applying batches must not hold mutable
 // references across Apply calls — use Snapshot for a stable copy.
-func (se *Session) Result() *Result { return se.sim.res }
+func (se *Session) Result() *Result { return se.fe.res }
 
 // Snapshot returns a copy of the rolling result at this instant. Result
 // holds no reference types, so a shallow copy is a deep copy.
-func (se *Session) Snapshot() Result { return *se.sim.res }
+func (se *Session) Snapshot() Result { return *se.fe.res }

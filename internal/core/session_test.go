@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"fmt"
 	"reflect"
 	"testing"
@@ -9,65 +10,117 @@ import (
 	"repro/internal/btb"
 	"repro/internal/isa"
 	"repro/internal/pdede"
+	"repro/internal/trace"
 )
 
 // TestSessionMatchesRunContext proves the incremental path is the same
 // simulation: feeding the trace through a Session in ragged batch sizes
-// must reproduce RunContext's result bit-for-bit, including cycle floats.
+// must reproduce the whole-trace result bit-for-bit, including cycle
+// floats, for the analytic model, the pipeline model and a warm session
+// whose batch edges straddle the end of its warm prefix. A Snapshot taken
+// mid-stream must likewise equal a whole-trace run of the records applied
+// so far: no model may defer part of its result to the end of the trace.
 func TestSessionMatchesRunContext(t *testing.T) {
 	tr, app := testTrace(t, 3000)
+	ctx := context.Background()
 
-	mk := func() btb.TargetPredictor {
+	mk := func(pipe bool) Config {
 		tp, err := pdede.New(pdede.DefaultConfig())
 		if err != nil {
 			t.Fatal(err)
 		}
-		return tp
+		return Config{
+			Params:       Icelake(),
+			BackendCPI:   app.BackendCPI,
+			BTB:          tp,
+			WarmupInstrs: 100_000,
+			UsePipeline:  pipe,
+		}
 	}
-	cfg := Config{
-		Params:       Icelake(),
-		BackendCPI:   app.BackendCPI,
-		WarmupInstrs: 100_000,
-	}
-
-	cfg.BTB = mk()
-	want, err := Run(cfg, tr)
+	warm, err := WarmupContext(ctx, mk(false), tr)
 	if err != nil {
 		t.Fatal(err)
 	}
+	wr := int(warm.Records())
 
-	cfg.BTB = mk()
-	se, err := NewSession(cfg, tr.Name())
-	if err != nil {
-		t.Fatal(err)
-	}
 	// Ragged batch sizes exercise every batch-boundary path: single
 	// records, odd chunks, and one large tail.
-	sizes := []int{1, 7, 64, 1, 997, 3, 4096}
-	recs := tr.Records
-	for i, pos := 0, 0; pos < len(recs); i++ {
-		n := sizes[i%len(sizes)]
-		if pos+n > len(recs) {
-			n = len(recs) - pos
-		}
-		applied, done, err := se.Apply(recs[pos : pos+n])
-		if err != nil {
-			t.Fatal(err)
-		}
-		if done {
-			t.Fatal("measure window reported done with MeasureInstrs=0")
-		}
-		if applied != n {
-			t.Fatalf("Apply consumed %d of %d", applied, n)
-		}
-		pos += n
+	ragged := []int{1, 7, 64, 1, 997, 3, 4096}
+	cases := []struct {
+		name  string
+		want  func(trace.Source) (*Result, error)
+		start func() (*Session, error)
+		lead  []int // batch sizes before the ragged cycle
+	}{
+		{
+			name:  "analytic",
+			want:  func(src trace.Source) (*Result, error) { return RunContext(ctx, mk(false), src) },
+			start: func() (*Session, error) { return NewSession(mk(false), tr.Name()) },
+		},
+		{
+			name:  "pipeline",
+			want:  func(src trace.Source) (*Result, error) { return RunPipelineContext(ctx, mk(false), src) },
+			start: func() (*Session, error) { return NewSession(mk(true), tr.Name()) },
+		},
+		{
+			// Edges at Records()-1, Records() and Records()+1: the last
+			// logged record, the first live one, and the one after it
+			// each open a batch.
+			name:  "warm",
+			want:  func(src trace.Source) (*Result, error) { return RunContext(ctx, mk(false), src) },
+			start: func() (*Session, error) { return NewWarmSession(mk(false), warm, tr.Name()) },
+			lead:  []int{wr - 1, 1, 1},
+		},
 	}
-	if se.Records() != uint64(len(recs)) {
-		t.Fatalf("Records() = %d, want %d", se.Records(), len(recs))
-	}
-	got := se.Snapshot()
-	if !reflect.DeepEqual(&got, want) {
-		t.Errorf("session result diverged from RunContext:\n got %+v\nwant %+v", &got, want)
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			se, err := c.start()
+			if err != nil {
+				t.Fatal(err)
+			}
+			recs := tr.Records
+			var midPos int
+			var mid Result
+			for i, pos := 0, 0; pos < len(recs); i++ {
+				n := ragged[i%len(ragged)]
+				if i < len(c.lead) {
+					n = c.lead[i]
+				}
+				if pos+n > len(recs) {
+					n = len(recs) - pos
+				}
+				applied, done, err := se.Apply(recs[pos : pos+n])
+				if err != nil {
+					t.Fatal(err)
+				}
+				if done {
+					t.Fatal("measure window reported done with MeasureInstrs=0")
+				}
+				if applied != n {
+					t.Fatalf("Apply consumed %d of %d", applied, n)
+				}
+				pos += n
+				if midPos == 0 && pos >= len(recs)/2 {
+					midPos, mid = pos, se.Snapshot()
+				}
+			}
+			if se.Records() != uint64(len(recs)) {
+				t.Fatalf("Records() = %d, want %d", se.Records(), len(recs))
+			}
+			for _, cut := range []struct {
+				got  Result
+				recs []isa.Branch
+			}{{se.Snapshot(), recs}, {mid, recs[:midPos]}} {
+				want, err := c.want(&trace.Memory{TraceName: tr.TraceName, Records: cut.recs})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !reflect.DeepEqual(&cut.got, want) {
+					t.Errorf("session after %d records diverged from the whole-trace run:\n got %+v\nwant %+v",
+						len(cut.recs), &cut.got, want)
+				}
+			}
+		})
 	}
 }
 
@@ -101,19 +154,6 @@ func TestSessionMeasureWindow(t *testing.T) {
 	}
 	if got := se.Result().Instructions; got < cfg.MeasureInstrs {
 		t.Errorf("measured %d instructions, want >= %d", got, cfg.MeasureInstrs)
-	}
-}
-
-// TestSessionRejectsPipeline pins the incremental API to the analytic
-// model: the event-timestamped pipeline cannot checkpoint mid-stream.
-func TestSessionRejectsPipeline(t *testing.T) {
-	tp, err := btb.NewBaseline(btb.BaselineConfig{Entries: 512})
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg := Config{Params: Icelake(), BackendCPI: 1, BTB: tp, UsePipeline: true}
-	if _, err := NewSession(cfg, "x"); err == nil {
-		t.Fatal("NewSession accepted UsePipeline")
 	}
 }
 

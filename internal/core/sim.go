@@ -13,10 +13,9 @@ import (
 	"repro/internal/trace"
 )
 
-// recordBatch is the reusable decode-buffer size of the record loops: the
-// trace is pulled in batches of this many records (trace.ReadBatch), which
-// amortizes Reader interface dispatch, and the context is checked once per
-// batch — the same cadence as the previous per-record loop's throttled check.
+// recordBatch is drain's decode-buffer size: the trace is pulled in batches
+// of this many records (trace.ReadBatch), which amortizes Reader interface
+// dispatch, and the context is checked once per batch.
 const recordBatch = 1 << 12
 
 // checkCtx returns the context's error, wrapped with simulation progress,
@@ -58,9 +57,8 @@ type Config struct {
 	// (§5.7). The BTB must be configured to accept returns.
 	StoreReturnsInBTB bool
 
-	// UsePipeline requests the event-timestamped pipeline model
-	// (RunPipeline); harnesses that accept a Config honour it when
-	// dispatching. Run itself ignores the flag.
+	// UsePipeline selects the event-timestamped pipeline model
+	// (pipeline.go) instead of the analytic runahead model.
 	UsePipeline bool
 
 	// WarmupInstrs are executed with all structures live but no statistics
@@ -85,55 +83,60 @@ func auditBTB(a btb.Auditable, records uint64) error {
 	return nil
 }
 
-// Run replays one trace through the configured core.
-func Run(cfg Config, src trace.Source) (*Result, error) {
-	return RunContext(context.Background(), cfg, src)
-}
-
-// RunContext is Run with cancellation: the record loop observes ctx every
-// few thousand records, so a deadline or cancel ends the simulation with
-// the context's error instead of running the trace to completion. The
-// simulation itself is a Session drained from src, so batch-streamed
-// (serve) and whole-trace runs share one code path bit-for-bit.
+// RunContext replays one trace through the configured core model (the
+// analytic one, or the pipeline one when cfg.UsePipeline is set). The
+// record loop observes ctx every few thousand records, so a deadline or
+// cancel ends the simulation with the context's error instead of running
+// the trace to completion. The simulation itself is a Session drained from
+// src, so batch-streamed (serve) and whole-trace runs share one code path
+// bit-for-bit.
 func RunContext(ctx context.Context, cfg Config, src trace.Source) (*Result, error) {
 	se, err := NewSession(cfg, src.Name())
 	if err != nil {
 		return nil, err
 	}
+	return se.runSource(ctx, src)
+}
 
-	r := src.Open()
+// drain is the one record loop of the package: it feeds r's records to
+// apply in recordBatch-sized batches until apply reports done, the trace
+// ends, or ctx is done. apply has Session.Apply's contract: it returns how
+// many records of the batch it consumed and whether it wants no more.
+func drain(ctx context.Context, r trace.Reader, apply func([]isa.Branch) (int, bool, error)) error {
 	batch := make([]isa.Branch, recordBatch)
+	var records uint64
 	for {
-		if err := checkCtx(ctx, se.Records()); err != nil {
-			return nil, err
+		if err := checkCtx(ctx, records); err != nil {
+			return err
 		}
 		n, rerr := trace.ReadBatch(r, batch)
-		_, done, err := se.Apply(batch[:n])
+		k, done, err := apply(batch[:n])
+		records += uint64(k)
 		if err != nil {
-			return nil, err
+			return err
 		}
 		if done {
-			break
+			return nil
 		}
 		if rerr != nil {
 			if errors.Is(rerr, io.EOF) {
-				break
+				return nil
 			}
-			return nil, rerr
+			return rerr
 		}
 		if n == 0 {
-			break
+			return nil
 		}
 	}
-	if err := se.Audit(); err != nil {
-		return nil, err
-	}
-	return se.Result(), nil
 }
 
-type sim struct {
+// frontend is the state both core models share: configuration, the
+// branch-prediction unit, the instruction caches, the warmup/measure window
+// counters and the result accumulator. The models differ only in how a
+// record's prediction and fetch outcome become cycles.
+type frontend struct {
 	cfg    Config
-	bpu    *bpu
+	bpu    bpu
 	ic     *cache.Cache
 	l2     *cache.Cache
 	res    *Result
@@ -141,27 +144,155 @@ type sim struct {
 
 	seen     uint64 // total instructions processed (incl. warmup)
 	measured uint64 // instructions inside the measured window
-	lead     float64
-	// produceTab caches ceil(len/FetchWidth) for short blocks, replacing a
-	// per-record integer division (see initProduceTab).
-	produceTab [produceTabLen]float64
 	// refill marks that the frontend pipeline was just flushed: the first
 	// multi-cycle BTB lookup afterwards exposes its extra latency (a
 	// pipelined 2-cycle BTB costs throughput nothing in steady state, only
 	// restart latency — §5.4).
 	refill bool
+	// produceTab caches ceil(len/FetchWidth) for short blocks, replacing a
+	// per-record integer division (see initProduceTab).
+	produceTab [produceTabLen]float64
+}
+
+// init validates cfg and builds the cold shared state; name labels the
+// Result's App field.
+func (f *frontend) init(cfg Config, name string) error {
+	if err := cfg.Params.Validate(); err != nil {
+		return err
+	}
+	if cfg.BTB == nil {
+		return fmt.Errorf("core: no BTB configured")
+	}
+	if cfg.BackendCPI <= 0 {
+		return fmt.Errorf("core: BackendCPI must be positive")
+	}
+	dir := cfg.Direction
+	if dir == nil {
+		var err error
+		dir, err = predictor.NewTAGE(predictor.DefaultTAGEConfig())
+		if err != nil {
+			return err
+		}
+	}
+	ic, err := cache.New(cfg.Params.ICacheBytes, cfg.Params.ICacheWays, cfg.Params.ICacheLineBytes)
+	if err != nil {
+		return err
+	}
+	l2, err := cache.New(cfg.Params.L2Bytes, cfg.Params.L2Ways, cfg.Params.ICacheLineBytes)
+	if err != nil {
+		return err
+	}
+	design := cfg.BTB.Name()
+	if cfg.UsePipeline {
+		design += "+pipe"
+	}
+
+	f.cfg = cfg
+	f.bpu = bpu{cfg: &f.cfg, dir: dir, ras: predictor.NewRAS(cfg.Params.RASEntries)}
+	f.ic, f.l2 = ic, l2
+	f.res = &Result{App: name, Design: design}
+	f.effCPI = cfg.BackendCPI
+	if min := 1 / float64(cfg.Params.RetireWidth); f.effCPI < min {
+		f.effCPI = min
+	}
+	initProduceTab(&f.produceTab, cfg.Params.FetchWidth)
+	return nil
+}
+
+// advance counts b's block into the window counters and reports whether it
+// lies in the measured window.
+func (f *frontend) advance(b isa.Branch) (measuring bool) {
+	measuring = f.seen >= f.cfg.WarmupInstrs
+	f.seen += uint64(b.BlockLen)
+	if measuring {
+		f.measured += uint64(b.BlockLen)
+	}
+	return measuring
+}
+
+// full reports whether the measure window has filled.
+func (f *frontend) full() bool {
+	return f.cfg.MeasureInstrs != 0 && f.measured >= f.cfg.MeasureInstrs
+}
+
+// missLat is the latency the first ICache miss of a block pays: an L2
+// fill, or the longer one from beyond the L2.
+func (f *frontend) missLat(l2miss bool) float64 {
+	if l2miss {
+		return float64(f.cfg.Params.L2MissLat)
+	}
+	return float64(f.cfg.Params.ICacheMissLat)
+}
+
+// fetchBlock accesses the basic block [BlockStart, PC] in the ICache and
+// fills its misses from the L2. It returns the ICache miss count and
+// whether the first fill came from beyond the L2. Both core models and the
+// shared warmup pass fetch through it.
+func fetchBlock(ic, l2 *cache.Cache, b isa.Branch) (misses int, l2miss bool) {
+	blockStart := b.PC.Add(-uint64(b.BlockLen-1) * isa.InstrBytes)
+	misses = ic.AccessRange(blockStart, b.PC)
+	return misses, misses > 0 && l2.AccessRange(blockStart, b.PC) > 0
+}
+
+// polluteWrongPath models the ICache pollution of wrong-path fetch: until a
+// resteer resolves, the frontend streams lines from wherever it (wrongly)
+// went — the mispredicted target if it had one, the fallthrough otherwise.
+func (f *frontend) polluteWrongPath(b isa.Branch, look btb.Lookup) {
+	start := b.Fallthrough()
+	if look.Hit && look.Target != b.NextPC() {
+		start = look.Target
+	}
+	line := uint64(f.cfg.Params.ICacheLineBytes)
+	for i := 0; i < f.cfg.Params.WrongPathLines; i++ {
+		f.ic.Access(start.Add(uint64(i) * line))
+	}
+}
+
+// sim is the analytic runahead model (see the package comment).
+type sim struct {
+	frontend
+	lead float64
+
+	// warm is a warm session's replay log (nil otherwise): the shared
+	// warmup pass's outcome for each record of the warm prefix. warmPos is
+	// the index of the record being stepped; it counts every record, so the
+	// log stops applying once the prefix is behind.
+	warm    []warmRec
+	warmPos int
+}
+
+// run steps recs through the model until the measure window fills. It
+// returns the records consumed and whether the window filled.
+func (s *sim) run(recs []isa.Branch) (int, bool) {
+	for i := range recs {
+		s.step(recs[i])
+		if s.full() {
+			return i + 1, true
+		}
+	}
+	return len(recs), false
 }
 
 // step processes one dynamic branch record: the basic block ending in it
 // plus the branch's prediction, resolution and cycle accounting.
 func (s *sim) step(b isa.Branch) {
-	measuring := s.seen >= s.cfg.WarmupInstrs
-	s.seen += uint64(b.BlockLen)
-	if measuring {
-		s.measured += uint64(b.BlockLen)
-	}
+	measuring := s.advance(b)
 
-	misses, fillLat, _ := s.fetch(b, measuring)
+	// --- Fetch of the block [BlockStart, PC]: ICache misses fill from the
+	// L2; code that misses there too pays the longer latency. Inside a warm
+	// session's prefix the shared warmup pass has already run this fetch on
+	// the caches the session cloned, so the logged outcome stands in for it.
+	var misses int
+	var l2miss bool
+	if i := uint(s.warmPos); i < uint(len(s.warm)) {
+		misses, l2miss = int(s.warm[i].misses), s.warm[i].flags&warmL2Miss != 0
+	} else {
+		misses, l2miss = fetchBlock(s.ic, s.l2, b)
+	}
+	if measuring {
+		s.res.ICacheMisses += uint64(misses)
+		s.res.ICacheAccesses++
+	}
 
 	// --- Branch prediction unit (lookup, direction, classification,
 	// training) — shared with the pipeline model.
@@ -170,39 +301,12 @@ func (s *sim) step(b isa.Branch) {
 		s.bpu.note(s.res, b, pr)
 	}
 
-	s.account(b, pr, misses, fillLat, measuring)
+	s.account(b, pr, misses, s.missLat(l2miss), measuring)
+	s.warmPos++
 }
 
-// fetch models instruction fetch for the block [BlockStart, PC]. ICache
-// misses fill from the L2; code that misses there too pays the longer
-// latency. It returns the miss count, the fill latency the first miss pays,
-// and whether the fill came from beyond the L2 (recorded by the shared
-// warmup pass so per-design replay can reproduce the latency without
-// re-simulating the caches).
-func (s *sim) fetch(b isa.Branch, measuring bool) (misses int, fillLat float64, l2miss bool) {
-	p := &s.cfg.Params
-	blockStart := b.PC.Add(-uint64(b.BlockLen-1) * isa.InstrBytes)
-	misses = s.ic.AccessRange(blockStart, b.PC)
-	fillLat = float64(p.ICacheMissLat)
-	if misses > 0 {
-		if s.l2.AccessRange(blockStart, b.PC) > 0 {
-			fillLat = float64(p.L2MissLat)
-			l2miss = true
-		}
-		if measuring {
-			s.res.ICacheMisses += uint64(misses)
-		}
-	}
-	if measuring {
-		s.res.ICacheAccesses++
-	}
-	return misses, fillLat, l2miss
-}
-
-// account applies one record's cycle accounting. It is shared verbatim by
-// the cold path (step) and the warm-replay path (replayStep): the lead and
-// refill recurrences must evolve bit-identically in both, so the arithmetic
-// lives in exactly one place.
+// account applies one record's cycle accounting: the lead and refill
+// recurrences of the runahead model.
 func (s *sim) account(b isa.Branch, pr prediction, misses int, fillLat float64, measuring bool) {
 	p := &s.cfg.Params
 	// --- Cycle accounting (runahead/lead model, see package comment).
@@ -283,18 +387,4 @@ func produceCycles(tab *[produceTabLen]float64, blockLen uint16, fetchWidth int)
 		return tab[blockLen]
 	}
 	return float64((int(blockLen) + fetchWidth - 1) / fetchWidth)
-}
-
-// polluteWrongPath models the ICache pollution of wrong-path fetch: until a
-// resteer resolves, the frontend streams lines from wherever it (wrongly)
-// went — the mispredicted target if it had one, the fallthrough otherwise.
-func (s *sim) polluteWrongPath(b isa.Branch, look btb.Lookup) {
-	start := b.Fallthrough()
-	if look.Hit && look.Target != b.NextPC() {
-		start = look.Target
-	}
-	line := uint64(s.cfg.Params.ICacheLineBytes)
-	for i := 0; i < s.cfg.Params.WrongPathLines; i++ {
-		s.ic.Access(start.Add(uint64(i) * line))
-	}
 }

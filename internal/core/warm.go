@@ -3,10 +3,8 @@ package core
 import (
 	"context"
 	"errors"
-	"io"
 
 	"repro/internal/addr"
-	"repro/internal/btb"
 	"repro/internal/cache"
 	"repro/internal/isa"
 	"repro/internal/predictor"
@@ -16,37 +14,38 @@ import (
 // Warm-state cloning: the suite runner evaluates many BTB designs against
 // one application trace, and every cold run repeats the same warmup work.
 // During warmup (WrongPathLines == 0, the default core), the instruction
-// caches, the direction predictor and the RAS evolve identically for every
-// design — they see only trace-order addresses and outcomes, never a BTB
-// prediction. Only the BTB itself, the optional ITTAGE, and the frontend
-// lead/refill recurrence are design-private.
+// caches and the direction predictor evolve identically for every design —
+// they see only trace-order addresses and outcomes, never a BTB prediction.
+// Only the BTB itself, the optional ITTAGE and the frontend lead/refill
+// recurrence are design-private.
 //
 // WarmupContext therefore runs the shared structures over the warmup prefix
-// exactly once per app, recording the tiny per-record outcomes a design
-// needs (icache miss count, L2 miss, direction prediction, RAS pop). Each
-// design then clones the warmed structures (Clone on cache.Cache,
-// predictor.TAGE, predictor.RAS) and replays the prefix through a fast path
-// that touches only its private state. RunWarmContext is proven
-// bit-identical to RunContext by TestWarmCloneOracle, which compares whole
-// Result structs for every registered design; the periodic btb.Auditable
-// deep checks run at the same record cadence on both paths.
+// exactly once per app, logging the tiny per-record outcomes a design needs
+// (icache miss count, L2 miss, direction prediction). A warm session clones
+// the warmed caches and TAGE (Clone on cache.Cache and predictor.TAGE) and
+// then runs the ordinary Session.Apply → sim.step → bpu.predict path from
+// record 0: over the prefix, fetch reads its outcome from the log and the
+// direction predictor answers from it (logDir), so only design-private
+// state does work. The RAS is cheap, so it simply runs live from empty.
+// RunWarmContext is proven bit-identical to RunContext by
+// TestWarmCloneOracle, which compares whole Result structs for every
+// registered design; the periodic btb.Auditable deep checks run at the same
+// record cadence on both paths because both are the same Apply loop.
 
 // warmRec is the per-record outcome of the shared warmup pass: everything a
-// design-private replay needs that it cannot (or must not) recompute.
+// warm session's prefix needs that it must not recompute.
 type warmRec struct {
-	rasTarget addr.VA // RAS pop result for returns (valid when warmRASHit)
-	misses    uint16  // icache misses fetching the block
-	flags     uint8   // warmL2Miss | warmDirPred | warmRASHit
+	misses uint16 // icache misses fetching the block
+	flags  uint8  // warmL2Miss | warmDirPred
 }
 
 const (
 	warmL2Miss  = 1 << iota // block's first fill came from beyond the L2
 	warmDirPred             // direction predictor said taken
-	warmRASHit              // RAS was non-empty for this return
 )
 
 // WarmState is the warmed, design-independent frontend state of one
-// (app, warmup-window) pair: caches, direction predictor, RAS, and the
+// (app, warmup-window) pair: caches, direction predictor, and the
 // per-record replay log. It is immutable once WarmupContext returns —
 // design runs only ever Clone the structures — so one WarmState may be
 // shared by any number of concurrent NewWarmSession/RunWarmContext calls.
@@ -55,14 +54,12 @@ const (
 //pdede:frozen
 type WarmState struct {
 	base    Config // the canonical config the warmup ran under (BTB nil)
-	name    string
 	seen    uint64 // instructions covered by the warm prefix
 	records uint64 // records covered by the warm prefix (== len(recs))
 
 	ic  *cache.Cache
 	l2  *cache.Cache
 	dir *predictor.TAGE
-	ras *predictor.RAS
 
 	recs []warmRec
 }
@@ -81,7 +78,7 @@ func (w *WarmState) Instructions() uint64 { return w.seen }
 func WarmupCompatible(base, cfg Config) error {
 	switch {
 	case cfg.UsePipeline:
-		return errors.New("core: warm clone unavailable: pipeline model replays whole traces")
+		return errors.New("core: warm clone unavailable: the pipeline model has no warm replay")
 	case cfg.Direction != nil:
 		return errors.New("core: warm clone unavailable: custom direction predictor")
 	case cfg.Params != base.Params:
@@ -126,66 +123,40 @@ func WarmupContext(ctx context.Context, cfg Config, src trace.Source) (*WarmStat
 	}
 	w := &WarmState{
 		base: cfg,
-		name: src.Name(),
 		ic:   ic,
 		l2:   l2,
 		dir:  dir,
-		ras:  predictor.NewRAS(cfg.Params.RASEntries),
 		recs: make([]warmRec, 0, cfg.WarmupInstrs/4),
 	}
-
-	r := src.Open()
-	batch := make([]isa.Branch, recordBatch)
-	for w.seen < cfg.WarmupInstrs {
-		if err := checkCtx(ctx, w.records); err != nil {
-			return nil, err
+	err = drain(ctx, src.Open(), func(batch []isa.Branch) (int, bool, error) {
+		n := 0
+		for ; n < len(batch) && w.seen < cfg.WarmupInstrs; n++ {
+			w.warmStep(batch[n])
 		}
-		n, rerr := trace.ReadBatch(r, batch)
-		for i := 0; i < n && w.seen < cfg.WarmupInstrs; i++ {
-			w.warmStep(batch[i])
-		}
-		if rerr != nil {
-			if errors.Is(rerr, io.EOF) {
-				break
-			}
-			return nil, rerr
-		}
-		if n == 0 {
-			break
-		}
+		return n, w.seen >= cfg.WarmupInstrs, nil
+	})
+	if err != nil {
+		return nil, err
 	}
 	return w, nil
 }
 
 // warmStep processes one warm-prefix record through the shared structures,
-// mirroring the cold path's fetch and predictor sequencing exactly: the
-// caches see the block range, the direction predictor sees Predict then
-// Update for every conditional, and the RAS sees the canonical
-// (StoreReturnsInBTB == false) pop/push traffic.
+// mirroring the cold step's fetch and direction-predictor sequencing
+// exactly: the caches see the block range through the same fetchBlock, and
+// the direction predictor sees Predict then Update for every conditional.
 func (w *WarmState) warmStep(b isa.Branch) {
 	var rec warmRec
-
-	blockStart := b.PC.Add(-uint64(b.BlockLen-1) * isa.InstrBytes)
-	misses := w.ic.AccessRange(blockStart, b.PC)
+	misses, l2miss := fetchBlock(w.ic, w.l2, b)
 	rec.misses = uint16(misses)
-	if misses > 0 && w.l2.AccessRange(blockStart, b.PC) > 0 {
+	if l2miss {
 		rec.flags |= warmL2Miss
-	}
-
-	if b.Kind.IsReturn() {
-		if t, ok := w.ras.Pop(); ok {
-			rec.rasTarget = t
-			rec.flags |= warmRASHit
-		}
 	}
 	if b.Kind.IsConditional() {
 		if w.dir.Predict(b.PC) {
 			rec.flags |= warmDirPred
 		}
 		w.dir.Update(b.PC, b.Taken)
-	}
-	if b.Kind.IsCall() {
-		w.ras.Push(b.Fallthrough())
 	}
 
 	w.seen += uint64(b.BlockLen)
@@ -194,9 +165,9 @@ func (w *WarmState) warmStep(b isa.Branch) {
 }
 
 // NewWarmSession builds a Session whose shared frontend state (caches,
-// direction predictor, RAS) is deep-cloned from w instead of
-// cold-constructed. The caller must then feed the warm prefix through the
-// replay path (RunWarmContext does both) before applying measured records.
+// direction predictor) is deep-cloned from w instead of cold-constructed.
+// The session replays the warm prefix by itself: callers Apply the trace
+// from record 0, exactly as for a cold session, and get the cold result.
 func NewWarmSession(cfg Config, w *WarmState, name string) (*Session, error) {
 	if err := w.Compatible(cfg); err != nil {
 		return nil, err
@@ -208,130 +179,37 @@ func NewWarmSession(cfg Config, w *WarmState, name string) (*Session, error) {
 	s := se.sim
 	s.ic = w.ic.Clone()
 	s.l2 = w.l2.Clone()
-	s.bpu.dir = w.dir.Clone()
-	s.bpu.ras = w.ras.Clone()
+	s.warm = w.recs
+	s.bpu.dir = &logDir{TAGE: w.dir.Clone(), s: s}
 	return se, nil
 }
 
-// replayWarm feeds the warm prefix through the design-private fast path:
-// reads the same records the shared pass consumed from the session's own
-// reader (fault-injection and stream-position semantics stay per-reader),
-// probes and trains only the BTB/ITTAGE, and reruns the lead/refill cycle
-// recurrence with the recorded fetch outcomes. The periodic audit cadence
-// matches Session.Apply record for record. eof reports a trace that ended
-// inside the warm prefix (the caller then skips the measured phase, exactly
-// as a cold run of the same truncated trace would).
-func (se *Session) replayWarm(ctx context.Context, w *WarmState, r trace.Reader) (eof bool, err error) {
-	s := se.sim
-	every := s.cfg.AuditEvery
-	batch := make([]isa.Branch, recordBatch)
-	for idx := uint64(0); idx < w.records; {
-		if err := checkCtx(ctx, se.records); err != nil {
-			return false, err
-		}
-		want := w.records - idx
-		if want > recordBatch {
-			want = recordBatch
-		}
-		n, rerr := trace.ReadBatch(r, batch[:want])
-		for i := 0; i < n; i++ {
-			s.replayStep(batch[i], w.recs[idx])
-			idx++
-			se.records++
-			if se.auditable != nil && se.records%every == 0 {
-				if err := auditBTB(se.auditable, se.records-1); err != nil {
-					return false, err
-				}
-			}
-		}
-		if rerr != nil {
-			if errors.Is(rerr, io.EOF) {
-				return true, nil
-			}
-			return false, rerr
-		}
-		if n == 0 {
-			return true, nil
-		}
-	}
-	return false, nil
+// logDir is a warm session's direction predictor. The shared pass already
+// ran the TAGE over the warm prefix, so there Predict answers from the log
+// and Update does nothing. The first prediction past the prefix hands the
+// BPU the cloned TAGE, which holds exactly the post-prefix state, so the
+// measured window pays no indirection.
+type logDir struct {
+	*predictor.TAGE
+	s *sim
 }
 
-// replayStep is the design-private half of one warm-prefix record: the
-// fetch outcome comes from the shared pass's log, the prediction flows
-// through replayPredict, and the cycle accounting is the shared account —
-// bit-identical to the cold step for the same record.
-func (s *sim) replayStep(b isa.Branch, rec warmRec) {
-	s.seen += uint64(b.BlockLen)
-	fillLat := float64(s.cfg.Params.ICacheMissLat)
-	if rec.flags&warmL2Miss != 0 {
-		fillLat = float64(s.cfg.Params.L2MissLat)
+// Predict implements predictor.Direction.
+func (d *logDir) Predict(pc addr.VA) bool {
+	s := d.s
+	if i := uint(s.warmPos); i < uint(len(s.warm)) {
+		return s.warm[i].flags&warmDirPred != 0
 	}
-	pr := s.bpu.replayPredict(b, rec)
-	s.account(b, pr, int(rec.misses), fillLat, false)
+	s.bpu.dir = d.TAGE
+	return d.TAGE.Predict(pc)
 }
 
-// replayPredict is predict for the warm-replay path: the shared warmup pass
-// already drove the direction predictor and the RAS (their outcomes arrive
-// in rec, and the cloned structures already hold the post-warmup state), so
-// only the design-private BTB and ITTAGE are probed and trained here. The
-// resteer classification mirrors predict branch for branch.
-func (u *bpu) replayPredict(b isa.Branch, rec warmRec) prediction {
-	p := &u.cfg.Params
-	out := prediction{usesBTB: true, dirPred: true}
-
-	switch {
-	case b.Kind.IsReturn() && !u.cfg.StoreReturnsInBTB:
-		out.usesBTB = false
-		if rec.flags&warmRASHit != 0 {
-			out.look = btb.Lookup{Hit: true, Target: rec.rasTarget}
-		}
-	case b.Kind.IsIndirect() && u.cfg.ITTAGE != nil:
-		out.usesBTB = false
-		if t, ok := u.cfg.ITTAGE.Predict(b.PC); ok {
-			out.look = btb.Lookup{Hit: true, Target: t}
-		}
-	default:
-		out.look = u.cfg.BTB.Lookup(b.PC)
-	}
-
-	if b.Kind.IsConditional() {
-		out.dirPred = rec.flags&warmDirPred != 0
-		if u.cfg.PerfectDirection {
-			out.dirPred = b.Taken
-		}
-	}
-
-	targetCorrect := out.look.Hit && out.look.Target == b.Target
-	switch {
-	case b.Kind.IsConditional() && out.dirPred != b.Taken:
-		out.penalty, out.kind = p.ExecResteer, 2
-	case b.Taken && !targetCorrect:
-		switch {
-		case b.Kind.IsReturn():
-			out.penalty, out.kind = p.ExecResteer, 3
-		case b.Kind.IsIndirect():
-			out.penalty, out.kind = p.ExecResteer, 1
-		default:
-			out.penalty, out.kind = p.DecodeResteer, 1
-		}
-	}
-
-	if out.usesBTB && (!b.Kind.IsReturn() || u.cfg.StoreReturnsInBTB) {
-		u.cfg.BTB.Update(b, out.look)
-	}
-	if b.Kind.IsIndirect() && u.cfg.ITTAGE != nil && b.Taken {
-		u.cfg.ITTAGE.Update(b.PC, b.Target)
-	}
-	if u.cfg.ITTAGE != nil {
-		u.cfg.ITTAGE.Observe(b.Taken)
-	}
-	return out
-}
+// Update implements predictor.Direction. After the hand-off in Predict the
+// BPU updates the TAGE directly, so this only ever sees prefix records.
+func (d *logDir) Update(addr.VA, bool) {}
 
 // RunWarmContext is RunContext starting from a warm state: the session's
-// shared frontend structures are cloned from w, the warm prefix is replayed
-// through the design-private fast path, and the measured window then runs
+// shared frontend structures are cloned from w and the whole trace runs
 // through the ordinary Session.Apply loop. The result is bit-identical to
 // RunContext with the same cfg and src (see WarmupCompatible for when a
 // design must fall back).
@@ -340,38 +218,5 @@ func RunWarmContext(ctx context.Context, cfg Config, src trace.Source, w *WarmSt
 	if err != nil {
 		return nil, err
 	}
-	r := src.Open()
-	eof, err := se.replayWarm(ctx, w, r)
-	if err != nil {
-		return nil, err
-	}
-	if !eof {
-		batch := make([]isa.Branch, recordBatch)
-		for {
-			if err := checkCtx(ctx, se.Records()); err != nil {
-				return nil, err
-			}
-			n, rerr := trace.ReadBatch(r, batch)
-			_, done, err := se.Apply(batch[:n])
-			if err != nil {
-				return nil, err
-			}
-			if done {
-				break
-			}
-			if rerr != nil {
-				if errors.Is(rerr, io.EOF) {
-					break
-				}
-				return nil, rerr
-			}
-			if n == 0 {
-				break
-			}
-		}
-	}
-	if err := se.Audit(); err != nil {
-		return nil, err
-	}
-	return se.Result(), nil
+	return se.runSource(ctx, src)
 }

@@ -767,9 +767,9 @@ func (r *Runner) probeWarm(app workload.Config, d *Design) (ok bool) {
 // constructor, the core models or the trace reader are recovered here so
 // the returned error is attributed to the design that crashed. Cells
 // whose configuration is compatible with warm clone its pre-simulated
-// shared state and replay the warm prefix through the design-private fast
-// path; everything else — pipeline-model designs, modified parameters, a
-// cold-start run — simulates from scratch.
+// shared state and replay the warm prefix from its log; everything else —
+// pipeline-model designs, modified parameters, a cold-start run —
+// simulates from scratch.
 func (r *Runner) runOne(ctx context.Context, app workload.Config, tr trace.Source, d *Design, warm *core.WarmState) (_ *core.Result, err error) {
 	defer func() {
 		if v := recover(); v != nil {
@@ -784,9 +784,6 @@ func (r *Runner) runOne(ctx context.Context, app workload.Config, tr trace.Sourc
 	cfg.BTB = tp
 	if d.Mod != nil {
 		d.Mod(&cfg)
-	}
-	if cfg.UsePipeline {
-		return core.RunPipelineContext(ctx, cfg, tr)
 	}
 	if warm != nil && warm.Compatible(cfg) == nil {
 		return core.RunWarmContext(ctx, cfg, tr, warm)

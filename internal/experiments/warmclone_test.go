@@ -24,9 +24,9 @@ func warmCloneBase(app workload.Config) core.Config {
 
 // TestWarmCloneOracle is the warm-state acceptance test: for every design
 // in the registry, a run that clones the shared warm state and replays the
-// prefix through the design-private fast path must produce a Result
-// bit-identical to a cold run of the same (app, design) pair. Result holds
-// only value fields, so == is a full bit comparison.
+// prefix from its log must produce a Result bit-identical to a cold run of
+// the same (app, design) pair. Result holds only value fields, so == is a
+// full bit comparison.
 func TestWarmCloneOracle(t *testing.T) {
 	app := workload.Default()
 	app.Name = "warm-oracle"

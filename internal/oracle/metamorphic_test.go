@@ -1,6 +1,7 @@
 package oracle
 
 import (
+	"context"
 	"math"
 	"reflect"
 	"testing"
@@ -106,7 +107,7 @@ func TestMetamorphicSameSeedDeterminism(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, err := core.Run(core.Config{
+		res, err := core.RunContext(context.Background(), core.Config{
 			Params:       core.Icelake(),
 			BackendCPI:   app.BackendCPI,
 			BTB:          tp,
@@ -140,7 +141,7 @@ func TestMetamorphicWarmupSplit(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, err := core.Run(core.Config{
+		res, err := core.RunContext(context.Background(), core.Config{
 			Params:        core.Icelake(),
 			BackendCPI:    app.BackendCPI,
 			BTB:           tp,

@@ -12,6 +12,7 @@
 package perf
 
 import (
+	"context"
 	"fmt"
 	"runtime"
 	"time"
@@ -28,8 +29,8 @@ const SchemaVersion = 1
 
 // Model names the core model a measurement ran under.
 const (
-	ModelAnalytic = "analytic" // core.Run: analytic runahead model
-	ModelPipeline = "pipeline" // core.RunPipeline: event-timestamped model
+	ModelAnalytic = "analytic" // core.RunContext: analytic runahead model
+	ModelPipeline = "pipeline" // core.Config.UsePipeline: event-timestamped model
 )
 
 // Spec fixes the benchmark matrix. The zero value is not runnable; use
@@ -264,16 +265,13 @@ func measure(d experiments.Design, app workload.Config, tr *trace.Memory, model 
 		if d.Mod != nil {
 			d.Mod(&cfg)
 		}
+		cfg.UsePipeline = model == ModelPipeline
 
 		var msBefore, msAfter runtime.MemStats
 		runtime.GC()
 		runtime.ReadMemStats(&msBefore)
 		start := time.Now()
-		if model == ModelPipeline {
-			_, err = core.RunPipeline(cfg, tr)
-		} else {
-			_, err = core.Run(cfg, tr)
-		}
+		_, err = core.RunContext(context.Background(), cfg, tr)
 		wall := time.Since(start)
 		runtime.ReadMemStats(&msAfter)
 		if err != nil {

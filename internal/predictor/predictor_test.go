@@ -330,29 +330,6 @@ func TestTAGECloneIsDeep(t *testing.T) {
 	}
 }
 
-func TestRASCloneIsDeep(t *testing.T) {
-	parent := NewRAS(8)
-	for i := 0; i < 5; i++ {
-		parent.Push(addr.New(uint64(0x100 + i*8)))
-	}
-	clone := parent.Clone()
-	for i := 0; i < 8; i++ { // drain and refill the clone
-		clone.Pop()
-	}
-	for i := 0; i < 8; i++ {
-		clone.Push(addr.New(uint64(0x9000 + i*8)))
-	}
-	if parent.Depth() != 5 {
-		t.Fatalf("parent depth changed to %d after clone mutation", parent.Depth())
-	}
-	for i := 4; i >= 0; i-- {
-		got, ok := parent.Pop()
-		if !ok || got != addr.New(uint64(0x100+i*8)) {
-			t.Fatalf("parent pop %d = %v, %v; clone mutation leaked", i, got, ok)
-		}
-	}
-}
-
 func TestBimodalCloneIsDeep(t *testing.T) {
 	parent, _ := NewBimodal(1024)
 	pc := addr.New(0x40)

@@ -196,7 +196,7 @@ type SimOptions struct {
 	// PerfectDirection enables the §5.5 study.
 	PerfectDirection bool
 	// UsePipelineModel selects the event-timestamped pipeline core model
-	// (core.RunPipeline) instead of the analytic runahead model. The two
+	// (core.Config.UsePipeline) instead of the analytic runahead model. The two
 	// share prediction state and cross-validate each other.
 	UsePipelineModel bool
 	// AuditEvery, when non-zero, deep-checks the design's internal
@@ -250,9 +250,7 @@ func SimulateTraceContext(ctx context.Context, app App, tr *Trace, design func()
 		WarmupInstrs:     opts.WarmupInstrs,
 		PerfectDirection: opts.PerfectDirection,
 		AuditEvery:       opts.AuditEvery,
-	}
-	if opts.UsePipelineModel {
-		return core.RunPipelineContext(ctx, cfg, tr)
+		UsePipeline:      opts.UsePipelineModel,
 	}
 	return core.RunContext(ctx, cfg, tr)
 }
