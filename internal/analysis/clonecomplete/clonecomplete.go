@@ -3,13 +3,15 @@
 // backing storage by Clone, or be explicitly declared shareable with
 // `//pdede:shared-immutable` on the field.
 //
-// Warm replay (core.WarmupContext → per-design Clone of the warmed caches
-// and TAGE → NewWarmSession) assumes Clone produces a structure whose
-// mutation can never reach the original: a single shallow-copied slice
-// turns the "byte-identical at any worker count" guarantee into a data
-// race. The deepness property tests catch this
-// only for types they were written against; this check proves it for every
-// `Clone()` method in a package, including future designs.
+// Any code that fans one structure out to concurrent users through Clone
+// assumes Clone produces a structure whose mutation can never reach the
+// original: a single shallow-copied slice turns the "byte-identical at any
+// worker count" guarantee into a data race. The simulator's warm replay no
+// longer clones anything — design cells share one immutable frontend log
+// (core.WarmState, guarded by the frozen analyzer) — so today the check
+// holds the fixtures and any future `Clone()` method in a package to that
+// contract; property tests would catch a shallow copy only for the types
+// they were written against.
 //
 // The proof sketch, per Clone method on a struct type T:
 //

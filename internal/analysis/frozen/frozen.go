@@ -3,8 +3,8 @@
 // private to its constructor — once it escapes, it is read-only forever.
 //
 // The contract exists because frozen values are shared without locks:
-// `core.WarmState` is warmed once per app and then cloned concurrently by
-// every worker, a `.pdtz` block index is handed to racing BlockReaders over
+// `core.WarmState` — one app's shared frontend log — is built once per app
+// and then read concurrently by every design cell, a `.pdtz` block index is handed to racing BlockReaders over
 // one shared mmap, and pdede-serve snapshots its Config per tenant. A
 // single post-construction write is a data race that `-race` only sees
 // when the schedule cooperates; this check rejects it statically.
@@ -20,9 +20,10 @@
 //   - A candidate rooted at a receiver or parameter is legal only if the
 //     function is unexported and *every* in-package call site binds that
 //     root to storage that is itself still under construction — a fresh
-//     local, or a recursively-legal receiver/parameter. This is how
-//     `WarmupContext` (fresh local) → `warmStep` (receiver writes) passes
-//     while any post-escape caller of the same method is rejected.
+//     local, or a recursively-legal receiver/parameter. This is how a
+//     constructor (fresh local) → an unexported helper writing through its
+//     receiver passes while any post-escape caller of the same method is
+//     rejected.
 //   - Calls to out-of-package mutator-named methods (Update, Push, Reset,
 //     AccessRange, ...) through a frozen field are held to the same
 //     standard: mutating an object hanging off frozen state is mutating

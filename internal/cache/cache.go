@@ -103,19 +103,6 @@ func (c *Cache) Access(a addr.VA) bool {
 	return false
 }
 
-// Clone returns a deep copy of the cache: the clone and the receiver share
-// no mutable state, so each can be driven independently afterwards. The
-// warm-state fan-out in internal/core clones one warmed instruction cache
-// per design under test.
-func (c *Cache) Clone() *Cache {
-	d := *c
-	d.tags = append([]uint64(nil), c.tags...)
-	d.valid = append([]bool(nil), c.valid...)
-	d.stamp = append([]uint64(nil), c.stamp...)
-	d.last = append([]int32(nil), c.last...)
-	return &d
-}
-
 // Contains reports presence without updating replacement state.
 func (c *Cache) Contains(a addr.VA) bool {
 	set, tag := c.line(a)

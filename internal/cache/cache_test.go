@@ -112,36 +112,3 @@ func TestCapacityBehaviour(t *testing.T) {
 		t.Errorf("fitting working set: %d/256 resident", hits)
 	}
 }
-
-// TestCloneIsDeep drives a parent and an identically-driven twin, clones
-// the parent, thrashes the clone, then continues driving parent and twin
-// in lockstep: every divergence between them is shared mutable state
-// leaking through Clone.
-func TestCloneIsDeep(t *testing.T) {
-	parent, _ := New(4096, 4, 64)
-	twin, _ := New(4096, 4, 64)
-	for i := 0; i < 200; i++ {
-		a := addr.New(uint64(i * 96))
-		parent.Access(a)
-		twin.Access(a)
-	}
-	clone := parent.Clone()
-	// The clone starts bit-identical: same hits on a probe sweep.
-	for i := 0; i < 200; i++ {
-		a := addr.New(uint64(i * 96))
-		if parent.Contains(a) != clone.Contains(a) {
-			t.Fatalf("clone differs from parent immediately at line %d", i)
-		}
-	}
-	// Thrash the clone far past capacity.
-	for i := 0; i < 5000; i++ {
-		clone.Access(addr.New(uint64(0x100000 + i*64)))
-	}
-	// Parent and twin must still agree access for access.
-	for i := 0; i < 400; i++ {
-		a := addr.New(uint64(i * 80))
-		if got, want := parent.Access(a), twin.Access(a); got != want {
-			t.Fatalf("parent diverged from twin after clone mutation at access %d", i)
-		}
-	}
-}

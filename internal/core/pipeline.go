@@ -99,7 +99,7 @@ func (p *pipeline) step(b isa.Branch) {
 
 	// --- ICache: prefetch fires at FTQ insert; fills are pipelined, from
 	// the L2 when it holds the line and from beyond otherwise.
-	misses, l2miss := fetchBlock(p.ic, p.l2, b)
+	misses, l2miss := p.fetch(b)
 	ready := issueAt
 	if misses > 0 {
 		ready += p.missLat(l2miss) + 2*float64(misses-1)
@@ -156,4 +156,5 @@ func (p *pipeline) step(b isa.Branch) {
 			p.polluteWrongPath(b, pr.look)
 		}
 	}
+	p.logPos++
 }

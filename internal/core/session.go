@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"fmt"
 
 	"repro/internal/btb"
 	"repro/internal/isa"
@@ -33,6 +34,12 @@ type Session struct {
 // cfg.UsePipeline selects; name labels the Result's App field (RunContext
 // passes the trace's name).
 func NewSession(cfg Config, name string) (*Session, error) {
+	return newSession(cfg, name, nil)
+}
+
+// newSession builds a cold session (log == nil) or one that reads its
+// caches and direction predictor from a shared frontend log.
+func newSession(cfg Config, name string, log []warmRec) (*Session, error) {
 	se := &Session{}
 	if cfg.UsePipeline {
 		se.pipe = &pipeline{}
@@ -41,7 +48,7 @@ func NewSession(cfg Config, name string) (*Session, error) {
 		se.sim = &sim{}
 		se.fe = &se.sim.frontend
 	}
-	if err := se.fe.init(cfg, name); err != nil {
+	if err := se.fe.init(cfg, name, log); err != nil {
 		return nil, err
 	}
 	if se.pipe != nil {
@@ -59,9 +66,18 @@ func NewSession(cfg Config, name string) (*Session, error) {
 // (done = true, remaining records untouched) or a periodic audit failed
 // (err != nil; the structure is corrupt and the Session must be discarded).
 //
+// A logged session (NewWarmSession) steps only records its log covers: the
+// rest of a batch that runs past the log is left unconsumed and Apply
+// returns an error.
+//
 // The batch runs in chunks that end at audit points, and the model is
 // chosen once per chunk, so the per-record loop makes no dynamic calls.
 func (se *Session) Apply(batch []isa.Branch) (n int, done bool, err error) {
+	var pastLog error
+	if log := se.fe.log; log != nil && len(batch) > len(log)-se.fe.logPos {
+		batch = batch[:len(log)-se.fe.logPos]
+		pastLog = fmt.Errorf("core: record %d lies past the end of the shared frontend log: apply the trace the log was built from", len(log))
+	}
 	every := se.fe.cfg.AuditEvery
 	for n < len(batch) {
 		chunk := batch[n:]
@@ -87,7 +103,7 @@ func (se *Session) Apply(batch []isa.Branch) (n int, done bool, err error) {
 			return n, true, nil
 		}
 	}
-	return n, false, nil
+	return n, false, pastLog
 }
 
 // runSource applies src's records from its start until the trace ends or

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"reflect"
+	"strings"
 	"testing"
 
 	"repro/internal/addr"
@@ -16,8 +17,9 @@ import (
 // TestSessionMatchesRunContext proves the incremental path is the same
 // simulation: feeding the trace through a Session in ragged batch sizes
 // must reproduce the whole-trace result bit-for-bit, including cycle
-// floats, for the analytic model, the pipeline model and a warm session
-// whose batch edges straddle the end of its warm prefix. A Snapshot taken
+// floats, for the analytic model, the pipeline model and logged sessions of
+// both models whose batch edges straddle the first measured record and end at the end
+// of its log. A Snapshot taken
 // mid-stream must likewise equal a whole-trace run of the records applied
 // so far: no model may defer part of its result to the end of the trace.
 func TestSessionMatchesRunContext(t *testing.T) {
@@ -41,7 +43,12 @@ func TestSessionMatchesRunContext(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	wr := int(warm.Records())
+	// first is the index of the first measured record: the first whose
+	// block starts at or past the warmup window.
+	first := 0
+	for seen := uint64(0); seen < mk(false).WarmupInstrs; first++ {
+		seen += uint64(tr.Records[first].BlockLen)
+	}
 
 	// Ragged batch sizes exercise every batch-boundary path: single
 	// records, odd chunks, and one large tail.
@@ -63,13 +70,20 @@ func TestSessionMatchesRunContext(t *testing.T) {
 			start: func() (*Session, error) { return NewSession(mk(true), tr.Name()) },
 		},
 		{
-			// Edges at Records()-1, Records() and Records()+1: the last
-			// logged record, the first live one, and the one after it
-			// each open a batch.
+			// Edges at first-1, first and first+1: the last warmup
+			// record, the first measured one, and the one after it each
+			// open a batch. The last batch ends at the end of the log,
+			// which covers the whole trace; one record more is refused.
 			name:  "warm",
 			want:  func(src trace.Source) (*Result, error) { return RunContext(ctx, mk(false), src) },
 			start: func() (*Session, error) { return NewWarmSession(mk(false), warm, tr.Name()) },
-			lead:  []int{wr - 1, 1, 1},
+			lead:  []int{first - 1, 1, 1},
+		},
+		{
+			name:  "warm-pipeline",
+			want:  func(src trace.Source) (*Result, error) { return RunPipelineContext(ctx, mk(false), src) },
+			start: func() (*Session, error) { return NewWarmSession(mk(true), warm, tr.Name()) },
+			lead:  []int{first - 1, 1, 1},
 		},
 	}
 	for _, c := range cases {
@@ -106,6 +120,11 @@ func TestSessionMatchesRunContext(t *testing.T) {
 			}
 			if se.Records() != uint64(len(recs)) {
 				t.Fatalf("Records() = %d, want %d", se.Records(), len(recs))
+			}
+			if strings.HasPrefix(c.name, "warm") {
+				if n, _, err := se.Apply(recs[:1]); err == nil || n != 0 {
+					t.Errorf("record past the log's end: consumed %d, err %v; want 0 and an error", n, err)
+				}
 			}
 			for _, cut := range []struct {
 				got  Result

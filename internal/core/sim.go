@@ -131,9 +131,10 @@ func drain(ctx context.Context, r trace.Reader, apply func([]isa.Branch) (int, b
 }
 
 // frontend is the state both core models share: configuration, the
-// branch-prediction unit, the instruction caches, the warmup/measure window
-// counters and the result accumulator. The models differ only in how a
-// record's prediction and fetch outcome become cycles.
+// branch-prediction unit, the instruction caches (or the shared frontend
+// log standing in for them), the warmup/measure window counters and the
+// result accumulator. The models differ only in how a record's prediction
+// and fetch outcome become cycles.
 type frontend struct {
 	cfg    Config
 	bpu    bpu
@@ -141,6 +142,13 @@ type frontend struct {
 	l2     *cache.Cache
 	res    *Result
 	effCPI float64
+
+	// log is a logged session's shared frontend log (nil for a cold
+	// session): the caches' and direction predictor's outcome for every
+	// trace record, read in place of ic, l2 and a live TAGE. logPos is the
+	// index of the record being stepped.
+	log    []warmRec
+	logPos int
 
 	seen     uint64 // total instructions processed (incl. warmup)
 	measured uint64 // instructions inside the measured window
@@ -154,9 +162,10 @@ type frontend struct {
 	produceTab [produceTabLen]float64
 }
 
-// init validates cfg and builds the cold shared state; name labels the
-// Result's App field.
-func (f *frontend) init(cfg Config, name string) error {
+// init validates cfg and builds the shared state; name labels the Result's
+// App field. A cold session (log == nil) builds live caches and direction
+// predictor; a logged one builds neither and reads them from log.
+func (f *frontend) init(cfg Config, name string, log []warmRec) error {
 	if err := cfg.Params.Validate(); err != nil {
 		return err
 	}
@@ -166,36 +175,47 @@ func (f *frontend) init(cfg Config, name string) error {
 	if cfg.BackendCPI <= 0 {
 		return fmt.Errorf("core: BackendCPI must be positive")
 	}
-	dir := cfg.Direction
-	if dir == nil {
-		var err error
-		dir, err = predictor.NewTAGE(predictor.DefaultTAGEConfig())
-		if err != nil {
-			return err
-		}
-	}
-	ic, err := cache.New(cfg.Params.ICacheBytes, cfg.Params.ICacheWays, cfg.Params.ICacheLineBytes)
-	if err != nil {
-		return err
-	}
-	l2, err := cache.New(cfg.Params.L2Bytes, cfg.Params.L2Ways, cfg.Params.ICacheLineBytes)
-	if err != nil {
+	f.cfg = cfg
+	f.bpu = bpu{cfg: &f.cfg, ras: predictor.NewRAS(cfg.Params.RASEntries)}
+	if log != nil {
+		f.log = log
+		f.bpu.dir = logDir{f}
+	} else if err := f.initCold(); err != nil {
 		return err
 	}
 	design := cfg.BTB.Name()
 	if cfg.UsePipeline {
 		design += "+pipe"
 	}
-
-	f.cfg = cfg
-	f.bpu = bpu{cfg: &f.cfg, dir: dir, ras: predictor.NewRAS(cfg.Params.RASEntries)}
-	f.ic, f.l2 = ic, l2
 	f.res = &Result{App: name, Design: design}
 	f.effCPI = cfg.BackendCPI
 	if min := 1 / float64(cfg.Params.RetireWidth); f.effCPI < min {
 		f.effCPI = min
 	}
 	initProduceTab(&f.produceTab, cfg.Params.FetchWidth)
+	return nil
+}
+
+// initCold builds a cold session's live caches and direction predictor.
+func (f *frontend) initCold() error {
+	p := &f.cfg.Params
+	ic, err := cache.New(p.ICacheBytes, p.ICacheWays, p.ICacheLineBytes)
+	if err != nil {
+		return err
+	}
+	l2, err := cache.New(p.L2Bytes, p.L2Ways, p.ICacheLineBytes)
+	if err != nil {
+		return err
+	}
+	f.ic, f.l2 = ic, l2
+	f.bpu.dir = f.cfg.Direction
+	if f.bpu.dir == nil {
+		dir, err := predictor.NewTAGE(predictor.DefaultTAGEConfig())
+		if err != nil {
+			return err
+		}
+		f.bpu.dir = dir
+	}
 	return nil
 }
 
@@ -224,14 +244,19 @@ func (f *frontend) missLat(l2miss bool) float64 {
 	return float64(f.cfg.Params.ICacheMissLat)
 }
 
-// fetchBlock accesses the basic block [BlockStart, PC] in the ICache and
-// fills its misses from the L2. It returns the ICache miss count and
-// whether the first fill came from beyond the L2. Both core models and the
-// shared warmup pass fetch through it.
-func fetchBlock(ic, l2 *cache.Cache, b isa.Branch) (misses int, l2miss bool) {
+// fetch returns the ICache outcome of the block ending in b, the record
+// being stepped: the miss count and whether the first fill came from beyond
+// the L2. A logged session reads the shared pass's outcome (Session.Apply
+// never steps a record past the log); otherwise the block [BlockStart, PC]
+// is accessed in the ICache and its misses fill from the L2. Both core
+// models and the shared frontend pass fetch through it.
+func (f *frontend) fetch(b isa.Branch) (misses int, l2miss bool) {
+	if i := uint(f.logPos); i < uint(len(f.log)) {
+		return int(f.log[i].misses), f.log[i].flags&warmL2Miss != 0
+	}
 	blockStart := b.PC.Add(-uint64(b.BlockLen-1) * isa.InstrBytes)
-	misses = ic.AccessRange(blockStart, b.PC)
-	return misses, misses > 0 && l2.AccessRange(blockStart, b.PC) > 0
+	misses = f.ic.AccessRange(blockStart, b.PC)
+	return misses, misses > 0 && f.l2.AccessRange(blockStart, b.PC) > 0
 }
 
 // polluteWrongPath models the ICache pollution of wrong-path fetch: until a
@@ -252,13 +277,6 @@ func (f *frontend) polluteWrongPath(b isa.Branch, look btb.Lookup) {
 type sim struct {
 	frontend
 	lead float64
-
-	// warm is a warm session's replay log (nil otherwise): the shared
-	// warmup pass's outcome for each record of the warm prefix. warmPos is
-	// the index of the record being stepped; it counts every record, so the
-	// log stops applying once the prefix is behind.
-	warm    []warmRec
-	warmPos int
 }
 
 // run steps recs through the model until the measure window fills. It
@@ -279,16 +297,8 @@ func (s *sim) step(b isa.Branch) {
 	measuring := s.advance(b)
 
 	// --- Fetch of the block [BlockStart, PC]: ICache misses fill from the
-	// L2; code that misses there too pays the longer latency. Inside a warm
-	// session's prefix the shared warmup pass has already run this fetch on
-	// the caches the session cloned, so the logged outcome stands in for it.
-	var misses int
-	var l2miss bool
-	if i := uint(s.warmPos); i < uint(len(s.warm)) {
-		misses, l2miss = int(s.warm[i].misses), s.warm[i].flags&warmL2Miss != 0
-	} else {
-		misses, l2miss = fetchBlock(s.ic, s.l2, b)
-	}
+	// L2; code that misses there too pays the longer latency.
+	misses, l2miss := s.fetch(b)
 	if measuring {
 		s.res.ICacheMisses += uint64(misses)
 		s.res.ICacheAccesses++
@@ -302,7 +312,7 @@ func (s *sim) step(b isa.Branch) {
 	}
 
 	s.account(b, pr, misses, s.missLat(l2miss), measuring)
-	s.warmPos++
+	s.logPos++
 }
 
 // account applies one record's cycle accounting: the lead and refill

@@ -91,7 +91,7 @@ func TestWorkerCountEquivalence(t *testing.T) {
 }
 
 // TestWorkerCountEquivalenceColdStart cross-checks the warm-state path
-// end to end: a parallel sweep that shares one warmup pass per app must
+// end to end: a parallel sweep that shares one frontend pass per app must
 // export byte-identical results to a sweep where every cell warms from
 // cold. Combined with TestWorkerCountEquivalence this closes the loop —
 // parallel+warm ≡ parallel+cold ≡ sequential.
@@ -104,7 +104,7 @@ func TestWorkerCountEquivalenceColdStart(t *testing.T) {
 	coldOpts.ColdStart = true
 	coldExport, _, _ := equivRun(t, coldOpts, designs)
 	if !bytes.Equal(warmExport, coldExport) {
-		t.Error("warm-clone sweep exports differ from cold-start sweep")
+		t.Error("shared-log sweep exports differ from cold-start sweep")
 	}
 }
 

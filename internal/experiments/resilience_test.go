@@ -132,6 +132,33 @@ func TestKeepGoingIsolatesPanicAndTimeout(t *testing.T) {
 	}
 }
 
+// An app's AppTimeout starts when its first job is dequeued, not when the
+// app is admitted: an app queued behind another app's job that runs longer
+// than the whole budget must still complete. One worker makes the queueing
+// deterministic — the blocker holds the only worker while the app is
+// admitted, so the app's trace build waits the blocker's full duration.
+func TestAppTimeoutStartsAtFirstDequeue(t *testing.T) {
+	cat := tinyCatalog(1)
+	opts := tinyOpts(cat)
+	opts.Workers = 1
+	opts.AppTimeout = 400 * time.Millisecond
+	r := NewRunner(opts)
+
+	workers := newPool(1)
+	defer workers.close()
+	// submit returns once the worker has taken the job, so the blocker is
+	// running before the app's first job is queued.
+	workers.submit(func() { time.Sleep(2 * opts.AppTimeout) })
+	start := time.Now()
+	res := r.runApp(context.Background(), workers, cat[0], tinyDesigns(), nil)
+	if waited := time.Since(start); waited < 2*opts.AppTimeout {
+		t.Fatalf("app finished after %v, before the blocker released the worker: the test is vacuous", waited)
+	}
+	if res.Err != nil || len(res.Results) != 2 {
+		t.Errorf("app queued behind a long neighbour job: err=%v results=%d, want a clean run", res.Err, len(res.Results))
+	}
+}
+
 func TestFailFastPanicInDesignNew(t *testing.T) {
 	opts := tinyOpts(tinyCatalog(1))
 	bad := Design{Name: "boom", New: func() (btb.TargetPredictor, error) {
@@ -233,17 +260,17 @@ func TestRetryThenSucceed(t *testing.T) {
 	if len(a.Results) != 2 {
 		t.Errorf("results = %d designs, want 2", len(a.Results))
 	}
-	// Opens: attempts 1 and 2 fail on the shared warmup pass's reader (the
-	// first reader the attempt opens), attempt 3 opens one clean reader for
-	// the warmup pass plus one per design cell.
+	// Opens: attempts 1 and 2 fail on the shared frontend pass's reader
+	// (the first reader the attempt opens), attempt 3 opens one clean
+	// reader for the shared pass plus one per design cell.
 	if got := fs.Opens(); got != 5 {
 		t.Errorf("source opened %d times, want 5", got)
 	}
 }
 
 // failNthOpen fails (transiently) only its n-th reader. With one worker,
-// reader opens within an app are strictly ordered — warmup pass first,
-// then one per design cell in design order — so n selects exactly which
+// reader opens within an app are strictly ordered — shared frontend pass
+// first, then one per design cell in design order — so n selects exactly which
 // stage fails. Tests using it pin Workers to 1: under parallel cells the
 // open order is scheduling-dependent. opens is not synchronized for the
 // same reason.
@@ -266,7 +293,7 @@ func TestRetrySkipsCompletedDesigns(t *testing.T) {
 	cat := tinyCatalog(1)
 	opts := tinyOpts(cat)
 	opts.Retries = 1
-	opts.Workers = 1 // deterministic open order: warmup, b256, b1k
+	opts.Workers = 1 // deterministic open order: shared pass, b256, b1k
 	var (
 		mu sync.Mutex
 		fs *failNthOpen
@@ -291,10 +318,10 @@ func TestRetrySkipsCompletedDesigns(t *testing.T) {
 	if a.Attempts != 2 || a.Err != nil || len(a.Results) != 2 {
 		t.Fatalf("attempts=%d err=%v results=%d, want a clean 2-attempt run", a.Attempts, a.Err, len(a.Results))
 	}
-	// Opens: attempt 1 = warmup (1, ok), b256 (2, ok), b1k (3, fails);
-	// attempt 2 = b1k only — a single pending design skips the shared
-	// warmup pass, so it opens one reader (4). A fifth open would mean the
-	// done-map was ignored and the completed design re-simulated.
+	// Opens: attempt 1 = shared pass (1, ok), b256 (2, ok), b1k (3,
+	// fails); attempt 2 = b1k only — a single pending design skips the
+	// shared frontend pass, so it opens one reader (4). A fifth open would
+	// mean the done-map was ignored and the completed design re-simulated.
 	if fs.opens != 4 {
 		t.Errorf("source opened %d times, want 4 (completed design must not rerun)", fs.opens)
 	}
@@ -435,7 +462,7 @@ func TestCheckpointPartialApp(t *testing.T) {
 	opts := tinyOpts(cat)
 	opts.KeepGoing = true
 	opts.CheckpointPath = path
-	opts.Workers = 1 // deterministic open order: warmup, b256, b1k
+	opts.Workers = 1 // deterministic open order: shared pass, b256, b1k
 	var (
 		mu sync.Mutex
 		fs *failNthOpen

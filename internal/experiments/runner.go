@@ -39,7 +39,7 @@ type Options struct {
 	// and fails the (app, design) run on the first violation.
 	SelfCheckEvery uint64
 	// Workers sizes the pool that executes every unit of heavy work —
-	// trace builds, shared warmup passes, and (app, design) simulation
+	// trace builds, shared frontend passes, and (app, design) simulation
 	// cells (0 = Parallelism, then GOMAXPROCS). Cell outcomes are reduced
 	// in fixed suite order, so reports, goldens, checkpoints and Suite.Err
 	// are bit-identical for every worker count.
@@ -48,17 +48,21 @@ type Options struct {
 	// when Workers is 0, and normalized() rewrites it to match Workers so
 	// old readers keep seeing the effective bound.
 	Parallelism int
-	// ColdStart disables warm-state sharing: every (app, design) cell then
-	// simulates its own warmup prefix from cold, as the sequential runner
-	// always did. By default one warmup pass per app is shared across all
-	// compatible designs (see core.WarmState); the differential oracle and
-	// TestWarmCloneOracle prove the shared path bit-identical, so this
-	// knob exists for cross-checking, not correctness.
+	// ColdStart disables the shared frontend pass: every (app, design) cell
+	// then simulates its own instruction caches and direction predictor
+	// over the whole trace, as the sequential runner always did. By default
+	// one pass per app logs that design-independent frontend and every
+	// compatible cell reads the log (see core.WarmState);
+	// TestWarmCloneOracle and the worker-count equivalence suite prove the
+	// shared path bit-identical, so this knob exists for cross-checking,
+	// not correctness.
 	ColdStart bool
 
 	// AppTimeout bounds one app's wall-clock budget across all its designs
-	// and retries (0 = no deadline). A timed-out app is recorded as failed
-	// with context.DeadlineExceeded.
+	// and retries (0 = no deadline). The clock starts when the app's first
+	// job leaves the pool's queue, so time spent queued behind other apps'
+	// jobs before then is not charged. A timed-out app is recorded as
+	// failed with context.DeadlineExceeded.
 	AppTimeout time.Duration
 	// Retries is the number of extra attempts after a retryable failure
 	// (so Retries = 2 allows up to 3 attempts). Designs that completed in
@@ -288,7 +292,7 @@ func (p *PanicError) Error() string { return fmt.Sprintf("panic: %v", p.Value) }
 
 // pool is the shared work-stealing executor: a fixed set of workers
 // draining one unbuffered job queue. Every unit of heavy work in a suite
-// run — trace builds, shared warmup passes, (app, design) simulation
+// run — trace builds, shared frontend passes, (app, design) simulation
 // cells — is a job, so total CPU concurrency is bounded by the worker
 // count no matter how many apps are in flight. Jobs are leaves: a job
 // never submits another job and waits on it, so the pool cannot deadlock.
@@ -427,10 +431,10 @@ func (r *Runner) Run(designs []Design) (*Suite, error) {
 // RunContext executes every design over the selected apps on a shared
 // pool of Opts.Workers workers. Traces are built once per app and reused
 // across that app's design cells, then discarded (the full suite's traces
-// would not fit in memory simultaneously). When the base configuration
-// permits (see core.WarmupCompatible), the warmup prefix is also simulated
-// once per app and cloned into each compatible design's run instead of
-// being re-simulated per cell.
+// would not fit in memory simultaneously). The design-independent frontend
+// (instruction caches and direction predictor) is also simulated once per
+// app over the whole trace, and every design whose configuration passes
+// core.WarmupCompatible reads its log instead of re-simulating it.
 //
 // Every (app, design) pair is an independent job, so designs of one app
 // run concurrently; cell outcomes are reduced in fixed design order, which
@@ -438,11 +442,12 @@ func (r *Runner) Run(designs []Design) (*Suite, error) {
 // every worker count.
 //
 // Each app runs isolated: panics become per-app errors, AppTimeout bounds
-// its wall clock, and retryable failures are re-attempted up to
-// Opts.Retries times. Without KeepGoing the first failure cancels the
-// remaining apps and is returned alone; with KeepGoing every app runs,
-// failures land in AppResult.Err (joined by Suite.Err), and RunContext
-// errors only when the context is cancelled or no app succeeded at all.
+// its wall clock from its first dequeued job, and retryable failures are
+// re-attempted up to Opts.Retries times. Without KeepGoing the first
+// failure cancels the remaining apps and is returned alone; with KeepGoing
+// every app runs, failures land in AppResult.Err (joined by Suite.Err), and
+// RunContext errors only when the context is cancelled or no app succeeded
+// at all.
 // With CheckpointPath set, completed results are persisted after each app
 // and already-completed (app, design) pairs are skipped on resume.
 func (r *Runner) RunContext(ctx context.Context, designs []Design) (*Suite, error) {
@@ -575,16 +580,12 @@ func (r *Runner) runApp(ctx context.Context, workers *pool, app workload.Config,
 		return out
 	}
 
-	appCtx := ctx
-	if r.Opts.AppTimeout > 0 {
-		var cancel context.CancelFunc
-		appCtx, cancel = context.WithTimeout(ctx, r.Opts.AppTimeout)
-		defer cancel()
-	}
+	clock := &appClock{parent: ctx, timeout: r.Opts.AppTimeout}
+	defer clock.stop()
 
 	for attempt := 1; ; attempt++ {
 		out.Attempts = attempt
-		err := r.runAppOnce(appCtx, workers, app, designs, out.Results)
+		err := r.runAppOnce(clock, workers, app, designs, out.Results)
 		if err == nil {
 			out.Err = nil
 			for _, d := range designs {
@@ -593,6 +594,7 @@ func (r *Runner) runApp(ctx context.Context, workers *pool, app workload.Config,
 			return out
 		}
 		out.Err = err
+		appCtx := clock.start()
 		if appCtx.Err() != nil || attempt > r.Opts.Retries || !r.Opts.retryable(err) {
 			pruneResults(designs, restored, out.Results)
 			return out
@@ -610,6 +612,39 @@ func (r *Runner) runApp(ctx context.Context, workers *pool, app workload.Config,
 			}
 		}
 	}
+}
+
+// appClock is one app's AppTimeout budget. The clock starts when start is
+// first called — from inside the app's first job, once a worker has
+// dequeued it — rather than when the app is admitted, so an app whose jobs
+// wait in the shared pool behind a neighbour's long-running cell does not
+// spend its budget (or time out after zero records) before any of its work
+// has run. Until then the app runs under parent alone.
+type appClock struct {
+	parent  context.Context
+	timeout time.Duration // 0 = no deadline
+
+	once   sync.Once
+	ctx    context.Context
+	cancel context.CancelFunc
+}
+
+// start starts the clock on its first call and returns the app's context.
+func (c *appClock) start() context.Context {
+	c.once.Do(func() {
+		if c.timeout > 0 {
+			c.ctx, c.cancel = context.WithTimeout(c.parent, c.timeout)
+		} else {
+			c.ctx, c.cancel = context.WithCancel(c.parent)
+		}
+	})
+	return c.ctx
+}
+
+// stop releases the clock's timer once the app is finished.
+func (c *appClock) stop() {
+	c.start()
+	c.cancel()
 }
 
 // pruneResults restores the sequential runner's failure semantics on a
@@ -637,15 +672,17 @@ func pruneResults(designs []Design, restored map[string]bool, done map[string]*c
 }
 
 // runAppOnce is a single attempt: build the trace, optionally run the
-// shared warmup pass, then fan every design not already in done (filled
+// shared frontend pass, then fan every design not already in done (filled
 // in by checkpoint restore or earlier attempts) out to the worker pool as
 // one simulation cell each. Cell outcomes are reduced in design order:
 // every success is recorded so a retry never re-simulates it, and the
 // error of the earliest failing design is returned — the same design a
 // sequential attempt would have stopped at. Panics anywhere below —
-// workload generation, the warmup pass, predictor construction, the core
+// workload generation, the shared pass, predictor construction, the core
 // models — are recovered into *PanicError inside the job that hit them.
-func (r *Runner) runAppOnce(ctx context.Context, workers *pool, app workload.Config, designs []Design, done map[string]*core.Result) error {
+// The build job, the attempt's first, starts the app's clock.
+func (r *Runner) runAppOnce(clock *appClock, workers *pool, app workload.Config, designs []Design, done map[string]*core.Result) error {
+	ctx := clock.parent
 	if err := ctx.Err(); err != nil {
 		return err
 	}
@@ -655,6 +692,7 @@ func (r *Runner) runAppOnce(ctx context.Context, workers *pool, app workload.Con
 		buildErr error
 	)
 	workers.run(func() {
+		ctx = clock.start()
 		defer func() {
 			if v := recover(); v != nil {
 				buildErr = &PanicError{Value: v, Stack: debug.Stack()}
@@ -673,12 +711,13 @@ func (r *Runner) runAppOnce(ctx context.Context, workers *pool, app workload.Con
 		}
 	}
 
-	// Shared warmup: one pass over the warm prefix, cloned into every
-	// compatible cell. Only worth a reader open when at least two pending
-	// designs can reuse it — below that the pass is pure overhead, and
-	// skipping it keeps single-design resumes at one open per attempt.
+	// Shared frontend: one pass over the whole trace logs the caches and
+	// direction predictor for every compatible cell. Only worth a reader
+	// open when at least two pending designs can reuse it — below that the
+	// pass is pure overhead, and skipping it keeps single-design resumes at
+	// one open per attempt.
 	var warm *core.WarmState
-	if !r.Opts.ColdStart && r.Opts.WarmupInstrs > 0 && r.warmEligible(app, pending) >= 2 {
+	if !r.Opts.ColdStart && r.warmEligible(app, pending) >= 2 {
 		var warmErr error
 		workers.run(func() {
 			defer func() {
@@ -689,7 +728,7 @@ func (r *Runner) runAppOnce(ctx context.Context, workers *pool, app workload.Con
 			warm, warmErr = core.WarmupContext(ctx, r.baseConfig(app), tr)
 		})
 		if warmErr != nil {
-			return fmt.Errorf("warmup: %w", warmErr)
+			return fmt.Errorf("shared frontend: %w", warmErr)
 		}
 	}
 
@@ -735,7 +774,7 @@ func (r *Runner) baseConfig(app workload.Config) core.Config {
 }
 
 // warmEligible counts the pending designs whose modified configuration
-// can reuse a shared warm state for app.
+// can read a shared frontend log for app.
 func (r *Runner) warmEligible(app workload.Config, pending []*Design) int {
 	n := 0
 	for _, d := range pending {
@@ -746,7 +785,7 @@ func (r *Runner) warmEligible(app workload.Config, pending []*Design) int {
 	return n
 }
 
-// probeWarm reports whether d's configuration passes the warm-state
+// probeWarm reports whether d's configuration passes the shared-log
 // compatibility gate. A panicking Mod reads as incompatible here; the
 // design's own cell will surface the panic as that design's error.
 func (r *Runner) probeWarm(app workload.Config, d *Design) (ok bool) {
@@ -766,9 +805,11 @@ func (r *Runner) probeWarm(app workload.Config, d *Design) (ok bool) {
 // runOne simulates one (app, design) cell. Panics in the predictor
 // constructor, the core models or the trace reader are recovered here so
 // the returned error is attributed to the design that crashed. Cells
-// whose configuration is compatible with warm clone its pre-simulated
-// shared state and replay the warm prefix from its log; everything else —
-// pipeline-model designs, modified parameters, a cold-start run —
+// whose configuration passes core.WarmupCompatible — either core model,
+// any window, any parameters but the cache geometry — read the caches and
+// direction predictor from the app's shared frontend log and simulate only
+// their design-private structures; everything else (a custom direction
+// predictor, wrong-path pollution, other cache geometry, a cold-start run)
 // simulates from scratch.
 func (r *Runner) runOne(ctx context.Context, app workload.Config, tr trace.Source, d *Design, warm *core.WarmState) (_ *core.Result, err error) {
 	defer func() {

@@ -4,14 +4,16 @@ import (
 	"context"
 	"testing"
 
+	"repro/internal/btb"
 	"repro/internal/core"
+	"repro/internal/predictor"
 	"repro/internal/workload"
 )
 
 // warmCloneBase returns the canonical base config the suite runner warms
 // with, scaled down for test speed. AuditEvery is set so the periodic
 // btb.Auditable deep checks run on both paths at the same cadence — the
-// differential-oracle guarantee that a warm clone is not just numerically
+// differential-oracle guarantee that a logged run is not just numerically
 // but structurally equivalent to a cold run.
 func warmCloneBase(app workload.Config) core.Config {
 	return core.Config{
@@ -22,10 +24,10 @@ func warmCloneBase(app workload.Config) core.Config {
 	}
 }
 
-// TestWarmCloneOracle is the warm-state acceptance test: for every design
-// in the registry, a run that clones the shared warm state and replays the
-// prefix from its log must produce a Result bit-identical to a cold run of
-// the same (app, design) pair. Result holds only value fields, so == is a
+// TestWarmCloneOracle is the shared-log acceptance test: for every design
+// in the registry, a run that reads the caches and direction predictor from
+// the app's shared frontend log must produce a Result bit-identical to a
+// cold run of the same (app, design) pair. Result holds only value fields, so == is a
 // full bit comparison.
 func TestWarmCloneOracle(t *testing.T) {
 	app := workload.Default()
@@ -68,24 +70,27 @@ func TestWarmCloneOracle(t *testing.T) {
 				d.Mod(&warmCfg)
 			}
 			if err := warm.Compatible(warmCfg); err != nil {
-				t.Fatalf("registry design incompatible with warm clone: %v", err)
+				t.Fatalf("registry design incompatible with the shared log: %v", err)
 			}
 			got, err := core.RunWarmContext(context.Background(), warmCfg, src, warm)
 			if err != nil {
 				t.Fatal(err)
 			}
 			if *got != *cold {
-				t.Errorf("warm-clone run diverges from cold run:\nwarm: %+v\ncold: %+v", got, cold)
+				t.Errorf("logged run diverges from cold run:\nwarm: %+v\ncold: %+v", got, cold)
 			}
 		})
 	}
 }
 
 // TestWarmCloneOracleModdedConfigs exercises the compatibility gate's edge
-// configs explicitly: perfect direction, ITTAGE-served indirects, and
-// returns routed through the BTB all reuse the shared warm state (their
-// warmup-visible shared-state traffic is design-independent), while a
-// parameter change or the pipeline model must be refused.
+// configs explicitly. Everything the shared frontend log does not depend
+// on — perfect direction, ITTAGE-served indirects, returns routed through
+// the BTB, a scaled core, a smaller fetch queue, the pipeline model, other
+// warmup and measure windows — reads the log and must match a cold run bit
+// for bit. What the log does depend on — the cache geometry, the absence
+// of wrong-path pollution, the default direction predictor — must be
+// refused.
 func TestWarmCloneOracleModdedConfigs(t *testing.T) {
 	app := workload.Default()
 	app.Name = "warm-modded"
@@ -100,10 +105,24 @@ func TestWarmCloneOracleModdedConfigs(t *testing.T) {
 		t.Fatal(err)
 	}
 
+	withMod := func(name string, mod func(*core.Config)) Design {
+		d := BaselineDesign(name, 1024)
+		d.Mod = mod
+		return d
+	}
+	ftq := core.Icelake()
+	ftq.FetchQueueEntries = 16
 	compatible := []Design{
 		WithPerfectDirection(BaselineDesign("perfect-dir", 1024)),
 		WithITTAGE(BaselineDesign("ittage", 1024)),
 		WithReturnsInBTB(BaselineDesign("returns-in-btb", 1024)),
+		WithParams(BaselineDesign("scaled", 1024), "scaled-x2", core.Icelake().Scale(2)),
+		WithParams(BaselineDesign("ftq", 1024), "ftq16", ftq),
+		withMod("pipeline", func(c *core.Config) { c.UsePipeline = true }),
+		withMod("scaled-pipeline", func(c *core.Config) { c.Params = core.Icelake().Scale(1.5); c.UsePipeline = true }),
+		withMod("half-window", func(c *core.Config) { c.WarmupInstrs /= 2 }),
+		withMod("no-window", func(c *core.Config) { c.WarmupInstrs = 0 }),
+		withMod("measure-window", func(c *core.Config) { c.MeasureInstrs = 30_000 }),
 	}
 	for _, d := range compatible {
 		d := d
@@ -133,26 +152,41 @@ func TestWarmCloneOracleModdedConfigs(t *testing.T) {
 				t.Fatal(err)
 			}
 			if *got != *cold {
-				t.Errorf("warm-clone run diverges from cold run:\nwarm: %+v\ncold: %+v", got, cold)
+				t.Errorf("logged run diverges from cold run:\nwarm: %+v\ncold: %+v", got, cold)
 			}
 		})
 	}
 
 	t.Run("incompatible", func(t *testing.T) {
-		scaled := base
-		scaled.Params = core.Icelake().Scale(2)
-		if err := warm.Compatible(scaled); err == nil {
-			t.Error("scaled params accepted by warm clone")
+		custom, err := predictor.NewBimodal(4096)
+		if err != nil {
+			t.Fatal(err)
 		}
-		pipe := base
-		pipe.UsePipeline = true
-		if err := warm.Compatible(pipe); err == nil {
-			t.Error("pipeline model accepted by warm clone")
-		}
-		window := base
-		window.WarmupInstrs = base.WarmupInstrs / 2
-		if err := warm.Compatible(window); err == nil {
-			t.Error("different warmup window accepted by warm clone")
+		for _, c := range []struct {
+			name string
+			mod  func(*core.Config)
+		}{
+			{"icache bytes halved", func(c *core.Config) { c.Params.ICacheBytes /= 2 }},
+			{"icache ways changed", func(c *core.Config) { c.Params.ICacheWays /= 2 }},
+			{"line size changed", func(c *core.Config) { c.Params.ICacheLineBytes *= 2 }},
+			{"L2 bytes changed", func(c *core.Config) { c.Params.L2Bytes /= 2 }},
+			{"L2 ways changed", func(c *core.Config) { c.Params.L2Ways /= 2 }},
+			{"wrong-path lines", func(c *core.Config) { c.Params.WrongPathLines = 4 }},
+			{"custom direction predictor", func(c *core.Config) { c.Direction = custom }},
+		} {
+			cfg := base
+			c.mod(&cfg)
+			if err := warm.Compatible(cfg); err == nil {
+				t.Errorf("%s accepted by the shared frontend log", c.name)
+			}
+			tp, err := btb.NewBaseline(btb.BaselineConfig{Entries: 1024})
+			if err != nil {
+				t.Fatal(err)
+			}
+			cfg.BTB = tp
+			if _, err := core.NewWarmSession(cfg, warm, src.Name()); err == nil {
+				t.Errorf("%s: NewWarmSession built a logged session", c.name)
+			}
 		}
 	})
 }

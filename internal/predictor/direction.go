@@ -72,13 +72,6 @@ func (b *Bimodal) updateMixed(h uint64, taken bool) {
 	}
 }
 
-// Clone returns a deep copy sharing no mutable state with the receiver.
-func (b *Bimodal) Clone() *Bimodal {
-	d := *b
-	d.ctr = append([]uint8(nil), b.ctr...)
-	return &d
-}
-
 func (b *Bimodal) StorageBits() uint64 { return uint64(len(b.ctr)) * 2 }
 
 func (b *Bimodal) Reset() {

@@ -294,55 +294,3 @@ func TestITTAGEReset(t *testing.T) {
 		t.Error("prediction survived reset")
 	}
 }
-
-// TestTAGECloneIsDeep trains a parent and an identically-trained twin,
-// clones the parent, trains the clone on an adversarial stream, then
-// verifies parent and twin still predict and train in lockstep — any
-// divergence is table, counter or folded-history state shared with the
-// clone. The RAS and Bimodal clones get the same treatment.
-func TestTAGECloneIsDeep(t *testing.T) {
-	cfg := DefaultTAGEConfig()
-	parent, _ := NewTAGE(cfg)
-	twin, _ := NewTAGE(cfg)
-	step := func(p *TAGE, pc uint64, taken bool) bool {
-		got := p.Predict(addr.New(pc))
-		p.Update(addr.New(pc), taken)
-		return got
-	}
-	for i := 0; i < 4000; i++ {
-		pc := uint64(0x1000 + (i%37)*4)
-		taken := i%3 != 0
-		step(parent, pc, taken)
-		step(twin, pc, taken)
-	}
-	clone := parent.Clone()
-	for i := 0; i < 4000; i++ {
-		// Opposite outcomes on overlapping PCs: allocations, usefulness
-		// decay and history shifts all run on the clone.
-		step(clone, uint64(0x1000+(i%41)*4), i%3 == 0)
-	}
-	for i := 0; i < 4000; i++ {
-		pc := uint64(0x1000 + (i%43)*4)
-		taken := i%5 != 0
-		if got, want := step(parent, pc, taken), step(twin, pc, taken); got != want {
-			t.Fatalf("parent diverged from twin after clone training at step %d", i)
-		}
-	}
-}
-
-func TestBimodalCloneIsDeep(t *testing.T) {
-	parent, _ := NewBimodal(1024)
-	pc := addr.New(0x40)
-	parent.Update(pc, true)
-	parent.Update(pc, true) // saturate toward taken
-	clone := parent.Clone()
-	for i := 0; i < 4; i++ {
-		clone.Update(pc, false)
-	}
-	if !parent.Predict(pc) {
-		t.Error("clone updates drove the parent's counter down")
-	}
-	if clone.Predict(pc) {
-		t.Error("clone did not train; test is vacuous")
-	}
-}

@@ -314,26 +314,6 @@ func (t *TAGE) Update(pc addr.VA, taken bool) {
 	t.scratchOK = false
 }
 
-// Clone returns a deep copy of the predictor: every table, counter and
-// folded-history register is duplicated, so the clone and the receiver can
-// be driven independently and will diverge only with their inputs. The
-// warm-state fan-out in internal/core clones one warmed direction predictor
-// per design under test; bit-identity of warm-clone runs versus cold runs
-// depends on this copy being complete.
-func (t *TAGE) Clone() *TAGE {
-	d := *t // scalars, ghist array, provider/scratch bookkeeping
-	d.base = t.base.Clone()
-	d.tables = make([]tageTable, len(t.tables))
-	for i := range t.tables {
-		tb := t.tables[i] // copies the per-table constants and fold registers
-		tb.tag = append([]uint16(nil), tb.tag...)
-		tb.ctr = append([]int8(nil), tb.ctr...)
-		tb.useful = append([]uint8(nil), tb.useful...)
-		d.tables[i] = tb
-	}
-	return &d
-}
-
 // foldShift advances a folded-history register by one history shift: rotate
 // the width-bit fold left by one (bit p mod width follows bit p to
 // (p+1) mod width), inject the incoming bit at position 0, and cancel the
