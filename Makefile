@@ -94,11 +94,15 @@ race:
 	$(GO) test -race $(RACE_PKGS)
 
 # Short coverage-guided fuzz sessions (each seed corpus also runs as a plain
-# test inside `make test`): the v1 trace decoder, the .pdtz v2 round trip,
+# test inside `make test`): the v1 trace decoder, alone and against its
+# byte-at-a-time reference, the shared record encoder's round trip through
+# both containers, the .pdtz v2 round trip,
 # the ChampSim and perf script ingestion adapters, the 57-bit VA component
 # algebra, and PDede's delta encode/decode path.
 fuzz:
-	$(GO) test ./internal/trace/ -fuzz FuzzDecoder -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/trace/ -fuzz '^FuzzDecoder$$' -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/trace/ -fuzz FuzzDecoderDifferential -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/trace/ -fuzz FuzzRecordRoundTrip -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/trace/ -fuzz FuzzPdtzRoundTrip -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/trace/champsim/ -fuzz FuzzChampSimDecoder -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/trace/perfscript/ -fuzz FuzzPerfScriptParser -fuzztime $(FUZZTIME)

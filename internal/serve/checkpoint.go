@@ -1,7 +1,6 @@
 package serve
 
 import (
-	"bytes"
 	"encoding/json"
 	"fmt"
 	"path/filepath"
@@ -35,18 +34,8 @@ func checkpointPath(dir, tenant string) string {
 	return filepath.Join(dir, tenant+".ckpt")
 }
 
-// encodeJournal serializes the journal with the standard trace codec.
-func encodeJournal(name string, recs []isa.Branch) ([]byte, error) {
-	var buf bytes.Buffer
-	src := &trace.Memory{TraceName: name, Records: recs}
-	if err := trace.Write(&buf, name, src.Open()); err != nil {
-		return nil, err
-	}
-	return buf.Bytes(), nil
-}
-
 func decodeJournal(data []byte) ([]isa.Branch, error) {
-	d, err := trace.NewDecoder(bytes.NewReader(data))
+	d, err := trace.NewBytesDecoder(data)
 	if err != nil {
 		return nil, err
 	}
@@ -90,10 +79,6 @@ func decodeCheckpoint(data []byte, wantConfigDigest, tenant string) (*checkpoint
 //
 //pdede:guarded-by(mu)
 func (t *tenant) checkpointLocked(s *Server) error {
-	data, err := encodeJournal(t.name, t.journal)
-	if err != nil {
-		return fmt.Errorf("serve: encoding journal for %s: %w", t.name, err)
-	}
 	ck := checkpointFile{
 		Version:      checkpointVersion,
 		ConfigDigest: s.digest,
@@ -101,7 +86,7 @@ func (t *tenant) checkpointLocked(s *Server) error {
 		NextSeq:      t.nextSeq,
 		Crashes:      t.crashes,
 		Quarantined:  t.quarantined,
-		Records:      data,
+		Records:      trace.Append(nil, t.name, t.journal),
 	}
 	if t.sess != nil {
 		snap := t.sess.Snapshot()

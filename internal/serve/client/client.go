@@ -1,4 +1,4 @@
-// Package client is the Go client for pdede-serve. It streams sequence-
+// Package client is the Go client for pdede-serve. It sends sequence-
 // numbered PDT1 batches, classifies failures by the server's retryable
 // flag, and retries with deterministic jittered exponential backoff —
 // deterministic because the jitter derives from internal/rng seeded by
@@ -11,6 +11,7 @@
 package client
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -87,14 +88,34 @@ func (e *Err) Error() string {
 	return fmt.Sprintf("serve: %d %s: %s", e.Status, e.Body.Code, e.Body.Error)
 }
 
-// SendBatch streams one batch and returns its ack, retrying retryable
+// SendBatch sends one batch and returns its ack, retrying retryable
 // failures (transport errors, 429/503/504, truncated uploads) with
 // jittered backoff. A *Err return means the server gave a terminal answer.
+//
+// The batch is encoded once and every fault-free attempt sends those bytes
+// with a Content-Length. An attempt with a fault plan streams the encoding
+// record by record through the plan instead, so its stalls and cuts reach
+// the server partway through the body.
 func (c *Client) SendBatch(ctx context.Context, tenant string, seq uint64, recs []isa.Branch) (*serve.BatchAck, error) {
 	url := fmt.Sprintf("%s/v1/tenants/%s/batches/%d", c.opt.BaseURL, tenant, seq)
+	var encoded []byte
 	var lastErr error
 	for attempt := 0; ; attempt++ {
-		ack, retryable, wait, err := c.attempt(ctx, url, tenant, seq, recs, attempt)
+		var body io.Reader
+		var plan trace.FaultPlan
+		if c.opt.Fault != nil {
+			plan = c.opt.Fault(tenant, seq, attempt)
+		}
+		if plan != (trace.FaultPlan{}) {
+			src := (&trace.Memory{TraceName: tenant, Records: recs}).Open()
+			body = trace.EncodeStream(tenant, &trace.FaultReader{R: src, Plan: plan})
+		} else {
+			if encoded == nil {
+				encoded = trace.Append(nil, tenant, recs)
+			}
+			body = bytes.NewReader(encoded)
+		}
+		ack, retryable, wait, err := c.attempt(ctx, url, body)
 		if err == nil {
 			return ack, nil
 		}
@@ -120,20 +141,9 @@ func (c *Client) SendBatch(ctx context.Context, tenant string, seq uint64, recs 
 
 // attempt performs one HTTP exchange. wait is the server's Retry-After
 // hint (zero when absent); the caller takes the max of hint and backoff.
-func (c *Client) attempt(ctx context.Context, url, tenant string, seq uint64, recs []isa.Branch, attempt int) (ack *serve.BatchAck, retryable bool, wait time.Duration, err error) {
-	pr, pw := io.Pipe()
-	go func() {
-		var rd trace.Reader = (&trace.Memory{TraceName: tenant, Records: recs}).Open()
-		if c.opt.Fault != nil {
-			if plan := c.opt.Fault(tenant, seq, attempt); plan != (trace.FaultPlan{}) {
-				rd = &trace.FaultReader{R: rd, Plan: plan}
-			}
-		}
-		pw.CloseWithError(trace.Write(pw, tenant, rd))
-	}()
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, url, pr)
+func (c *Client) attempt(ctx context.Context, url string, upload io.Reader) (ack *serve.BatchAck, retryable bool, wait time.Duration, err error) {
+	req, err := http.NewRequestWithContext(ctx, http.MethodPost, url, upload)
 	if err != nil {
-		pr.Close()
 		return nil, false, 0, err
 	}
 	req.Header.Set("Content-Type", "application/octet-stream")

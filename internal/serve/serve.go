@@ -22,7 +22,10 @@
 package serve
 
 import (
+	"bytes"
 	"context"
+	"encoding/binary"
+	"encoding/hex"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -250,10 +253,71 @@ func configDigest(cfg *Config) string {
 // ResultDigest fingerprints a rolling result — every counter and cycle
 // float. An offline replay of the same records produces the same digest
 // iff the served simulation is bit-identical.
+//
+// The digest is FNV-64a of the result's fmt "%+v" text, as 16 hex digits.
+// Acks, checkpoints' result_digest and the benchmark's expected outputs
+// all pin that definition, so appendResult rebuilds the text field by
+// field instead of formatting it by reflection, and tests hold the two
+// equal.
 func ResultDigest(r *core.Result) string {
+	var text [512]byte
 	h := fnv.New64a()
-	fmt.Fprintf(h, "%+v", *r)
-	return fmt.Sprintf("%016x", h.Sum64())
+	h.Write(appendResult(text[:0], r))
+	var sum [8]byte
+	return hex.EncodeToString(binary.BigEndian.AppendUint64(sum[:0], h.Sum64()))
+}
+
+// appendResult appends the text fmt's "%+v" gives for *r.
+func appendResult(b []byte, r *core.Result) []byte {
+	b = append(b, "{App:"...)
+	b = append(b, r.App...)
+	b = append(b, " Design:"...)
+	b = append(b, r.Design...)
+	b = appendUint(b, " Instructions:", r.Instructions)
+	b = appendFloat(b, " Cycles:", r.Cycles)
+	b = appendUint(b, " DynBranches:", r.DynBranches)
+	b = appendUint(b, " TakenDyn:", r.TakenDyn)
+	b = appendUint(b, " LookupsTaken:", r.LookupsTaken)
+	b = appendUints(b, " BTBMissByClass:", r.BTBMissByClass[:])
+	b = appendUints(b, " TakenByClass:", r.TakenByClass[:])
+	b = appendUint(b, " DirMispredicts:", r.DirMispredicts)
+	b = appendUint(b, " RASMispredicts:", r.RASMispredicts)
+	b = appendUint(b, " ICacheMisses:", r.ICacheMisses)
+	b = appendUint(b, " ICacheAccesses:", r.ICacheAccesses)
+	b = appendUint(b, " ExtraBTBCycles:", r.ExtraBTBCycles)
+	b = appendUint(b, " DeltaServed:", r.DeltaServed)
+	b = appendUint(b, " NTRegisterhits:", r.NTRegisterhits)
+	b = appendUint(b, " WrongPathFlush:", r.WrongPathFlush)
+	b = appendUint(b, " BTBResteers:", r.BTBResteers)
+	b = appendUint(b, " DirResteers:", r.DirResteers)
+	b = appendUint(b, " RetResteers:", r.RetResteers)
+	b = appendFloat(b, " BackendCycles:", r.BackendCycles)
+	b = appendFloat(b, " FrontendBubbles:", r.FrontendBubbles)
+	b = appendFloat(b, " BTBResteerCycles:", r.BTBResteerCycles)
+	b = appendFloat(b, " DirResteerCycles:", r.DirResteerCycles)
+	b = appendFloat(b, " RetResteerCycles:", r.RetResteerCycles)
+	return append(b, '}')
+}
+
+func appendUint(b []byte, label string, v uint64) []byte {
+	return strconv.AppendUint(append(b, label...), v, 10)
+}
+
+func appendUints(b []byte, label string, vs []uint64) []byte {
+	b = append(append(b, label...), '[')
+	for i, v := range vs {
+		if i > 0 {
+			b = append(b, ' ')
+		}
+		b = strconv.AppendUint(b, v, 10)
+	}
+	return append(b, ']')
+}
+
+// appendFloat matches %v: the shortest 'g' form, with fmt's "+Inf",
+// "-Inf" and "NaN", which strconv spells the same way.
+func appendFloat(b []byte, label string, v float64) []byte {
+	return strconv.AppendFloat(append(b, label...), v, 'g', -1, 64)
 }
 
 // Handler returns the service mux.
@@ -346,7 +410,7 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	// The whole body is decoded before any tenant state is touched: a
 	// slow or dying client holds only its own request open and can never
 	// stall a worker or leave a half-applied batch.
-	recs, badBody := decodeBody(r.Body, s.cfg.MaxBatchRecords)
+	recs, badBody := s.readBatch(w, r)
 	if badBody != nil {
 		if badBody.err.Code == CodeTruncated {
 			s.met.truncated.Add(1)
@@ -610,40 +674,80 @@ func (s *Server) checkpointAll() error {
 	return firstErr
 }
 
-// decodeBody reads a whole PDT1 batch into memory. Any mid-stream decode
-// failure maps to the retryable "truncated" error: whether the client died,
-// stalled forever (the HTTP server's read timeout fires), or sent garbage,
-// nothing was applied and a rebuilt body can succeed.
-func decodeBody(r io.Reader, max int) ([]isa.Branch, *reply) {
+// readBatch reads a batch request's whole body and decodes it. The body is
+// capped at the longest legal encoding of MaxBatchRecords records, so a
+// read-whole-body decode never holds more than the largest batch it could
+// accept.
+func (s *Server) readBatch(w http.ResponseWriter, r *http.Request) ([]isa.Branch, *reply) {
+	max := s.cfg.MaxBatchRecords
+	limit := trace.MaxEncodedLen(max)
+	if r.ContentLength > limit {
+		return nil, tooLarge(max)
+	}
+	data, err := readBody(http.MaxBytesReader(w, r.Body, limit), r.ContentLength)
+	var tooBig *http.MaxBytesError
+	if errors.As(err, &tooBig) {
+		return nil, tooLarge(max)
+	}
+	return decodeBody(data, err, max)
+}
+
+func tooLarge(max int) *reply {
+	rep := errReply(http.StatusRequestEntityTooLarge, CodeTooLarge, false, "batch exceeds %d records", max)
+	return &rep
+}
+
+// maxBodyReserve bounds how much of a declared Content-Length readBody
+// reserves before any of it arrives: a client declaring a huge body must
+// send it to make the buffer grow.
+const maxBodyReserve = 64 << 10
+
+// readBody reads a whole body. A body of declared length, up to
+// maxBodyReserve, reads into one allocation.
+func readBody(body io.Reader, contentLength int64) ([]byte, error) {
+	var buf bytes.Buffer
+	buf.Grow(int(min(max(contentLength, 0), maxBodyReserve)) + bytes.MinRead)
+	_, err := buf.ReadFrom(body)
+	return buf.Bytes(), err
+}
+
+// decodeBody decodes a whole PDT1 batch body, in place, into one slice
+// sized from the body's length. readErr is how reading the body failed, if
+// it did. Any mid-stream decode failure maps to the retryable "truncated"
+// error: whether the client died, stalled forever (the HTTP server's read
+// timeout fires), or sent garbage, nothing was applied and a rebuilt body
+// can succeed. Bytes after the end-of-stream marker are a malformed
+// request, not a second batch.
+func decodeBody(data []byte, readErr error, max int) ([]isa.Branch, *reply) {
 	fail := func(err error) ([]isa.Branch, *reply) {
 		rep := errReply(http.StatusBadRequest, CodeTruncated, true, "decoding batch: %v", err)
 		return nil, &rep
 	}
-	d, err := trace.NewDecoder(r)
+	malformed := func(format string, args ...any) ([]isa.Branch, *reply) {
+		rep := errReply(http.StatusBadRequest, CodeBadRequest, false, format, args...)
+		return nil, &rep
+	}
+	d, err := trace.NewBytesDecoder(data)
 	if err != nil {
 		return fail(err)
 	}
-	var recs []isa.Branch
-	for {
-		b, err := d.Next()
-		if errors.Is(err, io.EOF) {
-			break
-		}
-		if err != nil {
-			return fail(err)
-		}
-		recs = append(recs, b)
-		if len(recs) > max {
-			rep := errReply(http.StatusRequestEntityTooLarge, CodeTooLarge, false,
-				"batch exceeds %d records", max)
-			return nil, &rep
-		}
+	// One slot more than the body can hold or the cap allows: a full
+	// slice means the batch has more than max records.
+	recs := make([]isa.Branch, min(max, len(data)/trace.MinRecordBytes)+1)
+	n, err := d.NextBatch(recs)
+	switch {
+	case err == nil:
+		return nil, tooLarge(max)
+	case !errors.Is(err, io.EOF):
+		return fail(err)
+	case readErr != nil:
+		return fail(readErr)
+	case n == 0:
+		return malformed("empty batch")
+	case d.Offset() < int64(len(data)):
+		return malformed("%d trailing bytes after the batch's end-of-stream marker", int64(len(data))-d.Offset())
 	}
-	if len(recs) == 0 {
-		rep := errReply(http.StatusBadRequest, CodeBadRequest, false, "empty batch")
-		return nil, &rep
-	}
-	return recs, nil
+	return recs[:n], nil
 }
 
 // validTenantName accepts [A-Za-z0-9_.-]{1,64}, not starting with a dot

@@ -1,10 +1,14 @@
 package serve_test
 
 import (
+	"bufio"
 	"bytes"
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -499,6 +503,112 @@ func TestBadRequests(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusNotFound {
 		t.Errorf("stats for unknown tenant: %d, want 404", resp.StatusCode)
+	}
+}
+
+// postRaw posts body (chunked when it is not a *bytes.Reader) and returns
+// the status with the decoded error document.
+func postRaw(t *testing.T, url string, body io.Reader) (int, serve.ErrorBody) {
+	t.Helper()
+	resp, err := http.Post(url, "application/octet-stream", body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var eb serve.ErrorBody
+	if resp.StatusCode != http.StatusOK {
+		if err := json.NewDecoder(resp.Body).Decode(&eb); err != nil {
+			t.Fatalf("status %d without an error document: %v", resp.StatusCode, err)
+		}
+	}
+	return resp.StatusCode, eb
+}
+
+// TestTrailingBytesRejected: bytes after a batch's end-of-stream marker —
+// here a second, concatenated batch — make the request malformed. It is
+// refused as a non-retryable bad request and nothing is applied, so the
+// same sequence number then takes the well-formed batch.
+func TestTrailingBytesRejected(t *testing.T) {
+	cfg := testConfig(t)
+	_, ts := startServer(t, cfg)
+	recs := testRecords(t, 11, 60)
+	first, second := encodeBatch(t, "cat", recs[:30]), encodeBatch(t, "cat", recs[30:])
+	url := ts.URL + "/v1/tenants/cat/batches/1"
+	for _, body := range [][]byte{append(append([]byte{}, first...), second...), append(append([]byte{}, first...), 0)} {
+		status, eb := postRaw(t, url, bytes.NewReader(body))
+		if status != http.StatusBadRequest || eb.Code != serve.CodeBadRequest || eb.Retryable {
+			t.Fatalf("%d trailing bytes: status %d %+v, want 400 non-retryable %s",
+				len(body)-len(first), status, eb, serve.CodeBadRequest)
+		}
+	}
+	if status, eb := postRaw(t, url, bytes.NewReader(first)); status != http.StatusOK {
+		t.Fatalf("well-formed batch after the refusals: status %d %+v", status, eb)
+	}
+	ack, err := newTestClient(ts.URL).SendBatch(context.Background(), "cat", 2, recs[30:])
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want, _ := offlineDigest(t, cfg, "cat", recs); ack.Digest != want || ack.TotalRecords != 60 {
+		t.Fatalf("after the refusals: %d records, digest %s; offline %s", ack.TotalRecords, ack.Digest, want)
+	}
+}
+
+// TestCutBodyIsTruncated: a body that ends before its declared
+// Content-Length — a client that died mid-upload — is refused as
+// retryable "truncated", and the error names where the batch was cut.
+func TestCutBodyIsTruncated(t *testing.T) {
+	_, ts := startServer(t, testConfig(t))
+	body := encodeBatch(t, "cut", testRecords(t, 13, 40))
+	conn, err := net.Dial("tcp", ts.Listener.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	head := fmt.Sprintf("POST /v1/tenants/cut/batches/1 HTTP/1.1\r\nHost: x\r\nContent-Length: %d\r\n\r\n", len(body))
+	if _, err := conn.Write(append([]byte(head), body[:len(body)/2]...)); err != nil {
+		t.Fatal(err)
+	}
+	if err := conn.(*net.TCPConn).CloseWrite(); err != nil {
+		t.Fatal(err)
+	}
+	resp, err := http.ReadResponse(bufio.NewReader(conn), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var eb serve.ErrorBody
+	if err := json.NewDecoder(resp.Body).Decode(&eb); err != nil {
+		t.Fatal(err)
+	}
+	if resp.StatusCode != http.StatusBadRequest || eb.Code != serve.CodeTruncated || !eb.Retryable ||
+		!strings.Contains(eb.Error, "byte offset") {
+		t.Fatalf("status %d %+v, want 400 retryable %s naming the cut", resp.StatusCode, eb, serve.CodeTruncated)
+	}
+}
+
+// TestOversizedBatchRejected: a batch over MaxBatchRecords is refused with
+// 413, whether it is caught by its record count, by a declared
+// Content-Length beyond the longest legal encoding, or by a chunked body
+// that runs past it.
+func TestOversizedBatchRejected(t *testing.T) {
+	cfg := testConfig(t)
+	cfg.MaxBatchRecords = 10
+	_, ts := startServer(t, cfg)
+	recs := testRecords(t, 12, 11)
+	url := ts.URL + "/v1/tenants/big/batches/1"
+	huge := bytes.Repeat([]byte{0}, int(trace.MaxEncodedLen(cfg.MaxBatchRecords))+1)
+	for name, body := range map[string]io.Reader{
+		"11 records":           bytes.NewReader(encodeBatch(t, "big", recs)),
+		"declared length":      bytes.NewReader(huge),
+		"chunked past the cap": io.MultiReader(bytes.NewReader(huge)),
+	} {
+		status, eb := postRaw(t, url, body)
+		if status != http.StatusRequestEntityTooLarge || eb.Code != serve.CodeTooLarge || eb.Retryable {
+			t.Errorf("%s: status %d %+v, want 413 non-retryable %s", name, status, eb, serve.CodeTooLarge)
+		}
+	}
+	if status, eb := postRaw(t, url, bytes.NewReader(encodeBatch(t, "big", recs[:10]))); status != http.StatusOK {
+		t.Fatalf("10-record batch: status %d %+v", status, eb)
 	}
 }
 

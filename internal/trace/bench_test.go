@@ -17,11 +17,10 @@ func benchTrace(b *testing.B, n int) *Memory {
 	return makeTrace(n)
 }
 
-// BenchmarkDecode compares the two codecs on the same records. The metric
-// that matters is records/sec (reported as rec/s); the acceptance bar for
-// the v2 BlockReader is ≥3× the v1 Decoder. v1 pays one io.ByteReader
-// virtual call per encoded byte; v2 decodes batches straight out of a flat
-// byte slice.
+// BenchmarkDecode compares the two containers on the same records. The
+// metric that matters is records/sec (reported as rec/s). Both run the
+// shared record decoder: v1 over a window refilled from an io.Reader, v2
+// straight out of one flat byte slice.
 func BenchmarkDecode(b *testing.B) {
 	const records = 200_000
 	m := benchTrace(b, records)

@@ -1,12 +1,10 @@
 package trace
 
 import (
-	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
-	"math/bits"
 
 	"repro/internal/addr"
 	"repro/internal/isa"
@@ -14,12 +12,12 @@ import (
 
 // Binary trace format v2 ("PDTZ") — the paper-scale streaming codec.
 //
-// The v1 format (codec.go) is a single delta stream decoded one byte at a
-// time through an io.ByteReader; fine for tooling, too slow for replaying a
-// multi-gigabyte ingested trace once per (app, design) cell. v2 keeps the
-// same per-record delta scheme but arranges the file so a whole trace can be
-// mapped read-only and decoded in batches straight out of the mapping, with
-// no per-record allocation or interface dispatch:
+// The v1 format (codec.go) is a single delta stream, decodable only front
+// to back through a buffer refilled by read calls; fine for tooling and the
+// serve wire, wasteful for replaying a multi-gigabyte ingested trace once
+// per (app, design) cell. v2 keeps the same records but arranges the file
+// so a whole trace can be mapped read-only, split at block boundaries and
+// decoded in batches straight out of the mapping, with no copy:
 //
 //	file     := header block* sentinel index footer
 //	header   := "PDTZ" version(0x02) uvarint(len(name)) name
@@ -34,12 +32,11 @@ import (
 //	                                                   ; later ones delta-coded
 //	footer   := uint64le(indexOffset) "ZEND"
 //
-// flags/blockLen/deltas are exactly the v1 record fields (bit0 taken,
-// bits1-3 kind). Each block is independently decodable: basePC seeds the PC
-// delta chain (the encoder stores the block's first PC there and a zero
-// first delta), so readers can start at any index entry without replaying
-// the prefix — which is also what lets several readers stream one shared
-// mapping concurrently.
+// Records use the codec shared with v1 (record.go). Each block is
+// independently decodable: basePC seeds the PC delta chain (the encoder
+// stores the block's first PC there and a zero first delta), so readers can
+// start at any index entry without replaying the prefix — which is also
+// what lets several readers stream one shared mapping concurrently.
 const (
 	magicV2   = "PDTZ"
 	versionV2 = 0x02
@@ -48,19 +45,12 @@ const (
 	// footerLen is the fixed tail: 8-byte little-endian index offset plus
 	// the footer magic.
 	footerLen = 8 + len(footerV2)
-
-	// minRecordBytes bounds a v2 record from below (flags byte plus three
-	// single-byte varints); index-declared record counts are validated
-	// against it so a corrupt count cannot claim more records than the
-	// payload could possibly hold.
-	minRecordBytes = 4
-
-	// maxRecordBytes bounds a v2 record from above: the flags byte plus
-	// three 10-byte varints. The writer pads every payload with this many
-	// zero bytes so the decoder's fast path can read a whole record with a
-	// single up-front bounds check instead of one per field.
-	maxRecordBytes = 1 + 3*binary.MaxVarintLen64
 )
+
+// blockPadding ends every block payload: maxRecordBytes zero bytes, so
+// decodeRun's single up-front bounds check covers every record of a block,
+// its last included. The record count stops the decoder before them.
+var blockPadding [maxRecordBytes]byte
 
 // DefaultBlockRecords is the records-per-block target WritePdtz uses. 4K
 // records ≈ 20-30 KB per block: big enough to amortize block transitions,
@@ -80,7 +70,7 @@ func WritePdtzBlocks(w io.Writer, name string, r Reader, blockRecords int) error
 	if blockRecords <= 0 {
 		blockRecords = DefaultBlockRecords
 	}
-	if len(name) > 1<<16 {
+	if len(name) > maxNameLen {
 		return fmt.Errorf("pdtz: unreasonable name length %d", len(name))
 	}
 	cw := &countingWriter{w: w}
@@ -112,7 +102,7 @@ func WritePdtzBlocks(w io.Writer, name string, r Reader, blockRecords int) error
 	}
 	var (
 		index   []indexEntry
-		payload bytes.Buffer
+		payload []byte
 		batch   = make([]isa.Branch, blockRecords)
 		rec     int64 // global record index of the batch head
 		srcEOF  bool
@@ -128,39 +118,16 @@ func WritePdtzBlocks(w io.Writer, name string, r Reader, blockRecords int) error
 		if n == 0 {
 			break
 		}
-		payload.Reset()
-		var enc [binary.MaxVarintLen64]byte
-		m := binary.PutUvarint(enc[:], uint64(n))
-		payload.Write(enc[:m])
 		base := batch[0].PC
-		m = binary.PutUvarint(enc[:], uint64(base))
-		payload.Write(enc[:m])
-		prev := base
-		for i := 0; i < n; i++ {
-			b := batch[i]
-			flags := byte(b.Kind) << kindShift
-			if b.Taken {
-				flags |= flagTaken
-			}
-			payload.WriteByte(flags)
-			m = binary.PutUvarint(enc[:], uint64(b.BlockLen))
-			payload.Write(enc[:m])
-			m = binary.PutVarint(enc[:], int64(b.PC)-int64(prev))
-			payload.Write(enc[:m])
-			m = binary.PutVarint(enc[:], int64(b.Target)-int64(b.PC))
-			payload.Write(enc[:m])
-			prev = b.PC
-		}
-		// Trailing zero padding lets the reader decode every record —
-		// including the block's last — through the single-bounds-check fast
-		// path. Padding bytes are covered by payloadLen and skipped by the
-		// record count.
-		payload.Write(make([]byte, maxRecordBytes))
+		payload = binary.AppendUvarint(payload[:0], uint64(n))
+		payload = binary.AppendUvarint(payload, uint64(base))
+		payload, _ = appendRecords(payload, batch[:n], base)
+		payload = append(payload, blockPadding[:]...)
 		index = append(index, indexEntry{off: cw.off, count: n})
-		if err := writeUvarint(uint64(payload.Len()), fmt.Sprintf("block %d length", len(index)-1)); err != nil {
+		if err := writeUvarint(uint64(len(payload)), fmt.Sprintf("block %d length", len(index)-1)); err != nil {
 			return err
 		}
-		if _, err := cw.Write(payload.Bytes()); err != nil {
+		if _, err := cw.Write(payload); err != nil {
 			return fmt.Errorf("pdtz: writing block %d (records %d..%d) at byte offset %d: %w",
 				len(index)-1, rec, rec+int64(n)-1, cw.off, err)
 		}
@@ -191,6 +158,19 @@ func WritePdtzBlocks(w io.Writer, name string, r Reader, blockRecords int) error
 		return fmt.Errorf("pdtz: writing footer at byte offset %d: %w", cw.off, err)
 	}
 	return nil
+}
+
+// countingWriter tracks how many bytes reached the underlying writer, so
+// write-path errors can report where in the output stream they happened.
+type countingWriter struct {
+	w   io.Writer
+	off int64
+}
+
+func (c *countingWriter) Write(p []byte) (int, error) {
+	n, err := c.w.Write(p)
+	c.off += int64(n)
+	return n, err
 }
 
 // zblock is the parsed index entry for one block.
@@ -237,7 +217,7 @@ func ParsePdtz(data []byte) (*Pdtz, error) {
 	}
 	o++
 	nameLen, n := binary.Uvarint(data[o:])
-	if n <= 0 || nameLen > 1<<16 {
+	if n <= 0 || nameLen > maxNameLen {
 		return nil, fmt.Errorf("pdtz: invalid name length at byte offset %d", o)
 	}
 	o += n
@@ -297,7 +277,7 @@ func ParsePdtz(data []byte) (*Pdtz, error) {
 		if end > indexOff {
 			return nil, fmt.Errorf("pdtz: block %d: payload overruns index (ends %d, index at %d)", i, end, indexOff)
 		}
-		if count > payloadLen/minRecordBytes+1 {
+		if count > payloadLen/MinRecordBytes+1 {
 			return nil, fmt.Errorf("pdtz: block %d: %d records cannot fit in %d payload bytes", i, count, payloadLen)
 		}
 		z.blocks = append(z.blocks, zblock{off: off, start: start, end: end, count: int(count), firstAt: firstAt})
@@ -392,8 +372,8 @@ type BlockReader struct {
 	rec       int64  // global index of the next record
 }
 
-// corrupt builds a positioned decode error: global record index plus the
-// absolute byte offset within the backing file.
+// corrupt builds a positioned decode error: the failing record's global
+// index plus the absolute byte offset of payload position pos.
 //
 // Kept out of line: inlined into NextBatch, the fmt boxing of its
 // arguments becomes heap-escape sites inside the batch decode loop's
@@ -401,8 +381,19 @@ type BlockReader struct {
 // its frame for a path only corrupt inputs reach.
 //
 //go:noinline
-func (r *BlockReader) corrupt(field string) error {
-	return fmt.Errorf("pdtz: record %d at byte offset %d: %s", r.rec, r.start+int64(r.pos), field)
+func (r *BlockReader) corrupt(f field, pos int) error {
+	what := "payload exhausted before record count"
+	switch f {
+	case fieldKind:
+		what = "invalid kind"
+	case fieldBlockLen, fieldBlockLenRange:
+		what = "invalid block length"
+	case fieldPC:
+		what = "invalid pc delta"
+	case fieldTarget:
+		what = "invalid target delta"
+	}
+	return fmt.Errorf("pdtz: record %d at byte offset %d: %s", r.rec, r.start+int64(pos), what)
 }
 
 // nextBlock advances to the next block, priming the delta chain from the
@@ -444,9 +435,12 @@ func (r *BlockReader) nextBlock() error {
 // records, crossing block boundaries as needed, and returns io.EOF (with
 // any records decoded before it) at the clean end of the trace.
 //
-// The decode loop — including the branchless varint fast path — must not
-// allocate; error construction is outlined (corrupt, nextBlock) to keep
-// every heap-escape site off this body.
+// Every record of a writer-padded block goes through decodeRun; a block
+// without the padding decodes its last records through decodeRecord. A
+// malformed record fails with the offset of the record (decodeRun) or of
+// its failing field (decodeRecord) and leaves the cursor at the record, so
+// a retry fails there again. Error construction is outlined (corrupt,
+// nextBlock) to keep every heap-escape site off this body.
 //
 //pdede:noalloc
 func (r *BlockReader) NextBatch(buf []isa.Branch) (int, error) {
@@ -457,182 +451,23 @@ func (r *BlockReader) NextBatch(buf []isa.Branch) (int, error) {
 				return n, err
 			}
 		}
-		p := r.payload
-		pos := r.pos
-		prev := r.prev
-		want := r.remaining
-		if left := len(buf) - n; want > left {
-			want = left
+		want := min(r.remaining, len(buf)-n)
+		k, pos, prev, fault := decodeRun(r.payload, r.pos, r.prev, buf[n:n+want])
+		n += k
+		r.pos, r.prev, r.remaining, r.rec = pos, prev, r.remaining-k, r.rec+int64(k)
+		if k == want {
+			continue
 		}
-		// Error exits jump to bad, which syncs the cursor to the failure
-		// point (r.pos/r.prev/r.remaining) so the error carries the right
-		// offset and a retry re-fails there. Plain locals + goto keep the
-		// cursor variables in registers through the hot loop.
-		//
-		// Records with at least maxRecordBytes of payload left (every record
-		// in a writer-padded block) take the fast path: one bounds check up
-		// front, then hand-inlined varint decode with a single-byte fast
-		// case. The tail path uses the checked binary.Uvarint/Varint
-		// routines; both paths accept exactly the standard varint encodings.
-		var fault string
-		var i int
-		for ; i < want; i++ {
-			var flags byte
-			var kind isa.Kind
-			var blockLen uint64
-			var pcDelta, targetDelta int64
-			if pos+maxRecordBytes <= len(p) {
-				flags = p[pos]
-				kind = isa.Kind(flags >> kindShift)
-				if kind >= isa.NumKinds {
-					fault = "invalid kind"
-					goto bad
-				}
-				// Delta varint lengths flip record to record (a near target
-				// is 1-2 bytes, a cross-page jump 3+), so a byte-at-a-time
-				// loop eats a branch mispredict per field. The ≤3-byte case
-				// — all of them in practice — decodes branchlessly from one
-				// 32-bit load: length from the first clear continuation bit,
-				// payload bits gathered with masks, truncated by length.
-				q := pos + 1
-				blockLen = uint64(p[q])
-				q++
-				if blockLen > 0x7f {
-					blockLen &= 0x7f
-					for s := uint(7); ; s += 7 {
-						if s > 63 {
-							fault = "invalid block length"
-							goto bad
-						}
-						b := p[q]
-						q++
-						if b < 0x80 {
-							if s == 63 && b > 1 {
-								fault = "invalid block length"
-								goto bad
-							}
-							blockLen |= uint64(b) << s
-							break
-						}
-						blockLen |= uint64(b&0x7f) << s
-					}
-				}
-				if blockLen == 0 || blockLen > isa.MaxBlockLen {
-					fault = "invalid block length"
-					goto bad
-				}
-				w32 := binary.LittleEndian.Uint32(p[q:])
-				var upc uint64
-				if w32&0x808080 != 0x808080 {
-					l := (bits.TrailingZeros32(^w32&0x808080) + 1) >> 3
-					e := w32&0x7f | (w32&0x7f00)>>1 | (w32&0x7f0000)>>2
-					upc = uint64(e) & (1<<(7*uint(l)) - 1)
-					q += l
-				} else {
-					upc = uint64(w32) & 0x7f
-					q++
-					for s := uint(7); ; s += 7 {
-						if s > 63 {
-							fault = "invalid pc delta"
-							goto bad
-						}
-						b := p[q]
-						q++
-						if b < 0x80 {
-							if s == 63 && b > 1 {
-								fault = "invalid pc delta"
-								goto bad
-							}
-							upc |= uint64(b) << s
-							break
-						}
-						upc |= uint64(b&0x7f) << s
-					}
-				}
-				pcDelta = int64(upc>>1) ^ -int64(upc&1)
-				w32 = binary.LittleEndian.Uint32(p[q:])
-				var utd uint64
-				if w32&0x808080 != 0x808080 {
-					l := (bits.TrailingZeros32(^w32&0x808080) + 1) >> 3
-					e := w32&0x7f | (w32&0x7f00)>>1 | (w32&0x7f0000)>>2
-					utd = uint64(e) & (1<<(7*uint(l)) - 1)
-					q += l
-				} else {
-					utd = uint64(w32) & 0x7f
-					q++
-					for s := uint(7); ; s += 7 {
-						if s > 63 {
-							fault = "invalid target delta"
-							goto bad
-						}
-						b := p[q]
-						q++
-						if b < 0x80 {
-							if s == 63 && b > 1 {
-								fault = "invalid target delta"
-								goto bad
-							}
-							utd |= uint64(b) << s
-							break
-						}
-						utd |= uint64(b&0x7f) << s
-					}
-				}
-				targetDelta = int64(utd>>1) ^ -int64(utd&1)
-				pos = q
-			} else {
-				if pos >= len(p) {
-					fault = "payload exhausted before record count"
-					goto bad
-				}
-				flags = p[pos]
-				pos++
-				kind = isa.Kind(flags >> kindShift)
-				if kind >= isa.NumKinds {
-					pos--
-					fault = "invalid kind"
-					goto bad
-				}
-				var w int
-				blockLen, w = binary.Uvarint(p[pos:])
-				if w <= 0 || blockLen == 0 || blockLen > isa.MaxBlockLen {
-					fault = "invalid block length"
-					goto bad
-				}
-				pos += w
-				pcDelta, w = binary.Varint(p[pos:])
-				if w <= 0 {
-					fault = "invalid pc delta"
-					goto bad
-				}
-				pos += w
-				targetDelta, w = binary.Varint(p[pos:])
-				if w <= 0 {
-					fault = "invalid target delta"
-					goto bad
-				}
-				pos += w
-			}
-			pc := addr.New(uint64(prev + pcDelta))
-			buf[n] = isa.Branch{
-				PC:       pc,
-				Target:   addr.New(uint64(int64(pc) + targetDelta)),
-				BlockLen: uint16(blockLen),
-				Kind:     kind,
-				Taken:    flags&flagTaken != 0,
-			}
-			prev = int64(pc)
-			n++
+		if fault != fieldNone {
+			return n, r.corrupt(fault, r.pos)
 		}
-		r.pos = pos
-		r.prev = prev
-		r.remaining -= want
-		r.rec += int64(want)
-		continue
-	bad:
-		r.pos, r.prev, r.remaining = pos, prev, r.remaining-i
-		r.rec += int64(i)
-		return n, r.corrupt(fault)
+		b, next, f := decodeRecord(r.payload, r.pos, r.prev)
+		if f.field != fieldNone {
+			return n, r.corrupt(f.field, f.at)
+		}
+		buf[n] = b
+		n++
+		r.pos, r.prev, r.remaining, r.rec = next, int64(b.PC), r.remaining-1, r.rec+1
 	}
 	return n, nil
 }

@@ -106,19 +106,28 @@ func (r *memReader) NextBatch(buf []isa.Branch) (int, error) {
 	return n, nil
 }
 
-// Collect drains a Reader into memory. It stops at io.EOF and propagates any
-// other error.
+// Collect drains a Reader into memory, decoding in batches straight into
+// the growing record slice. It stops at io.EOF and propagates any other
+// error.
 func Collect(name string, r Reader) (*Memory, error) {
 	var recs []isa.Branch
 	for {
-		b, err := r.Next()
+		if len(recs) == cap(recs) {
+			grown := make([]isa.Branch, len(recs), max(256, 2*len(recs)))
+			copy(grown, recs)
+			recs = grown
+		}
+		n, err := ReadBatch(r, recs[len(recs):cap(recs)])
+		recs = recs[:len(recs)+n]
 		if errors.Is(err, io.EOF) {
+			if len(recs) == 0 {
+				recs = nil
+			}
 			return &Memory{TraceName: name, Records: recs}, nil
 		}
 		if err != nil {
 			return nil, err
 		}
-		recs = append(recs, b)
 	}
 }
 

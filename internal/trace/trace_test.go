@@ -5,6 +5,7 @@ import (
 	"errors"
 	"io"
 	"reflect"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -206,5 +207,38 @@ func TestCompactEncoding(t *testing.T) {
 	perRecord := float64(buf.Len()) / float64(len(recs))
 	if perRecord > 16 {
 		t.Errorf("loop trace uses %.1f bytes/record, want ≤ 16", perRecord)
+	}
+}
+
+// EncodeStream must hand out each record as its source yields it: one Read
+// for the header, one per record, so a source that stalls or fails does so
+// partway through the stream rather than before its first byte. A failing
+// source cuts the stream after the records before it, with the source's
+// error.
+func TestEncodeStreamPacesRecords(t *testing.T) {
+	m := makeTrace(50)
+	s := EncodeStream(m.TraceName, &FaultReader{R: m.Open(), Plan: FaultPlan{TruncateAt: 20}})
+	buf := make([]byte, 4096)
+	var got []byte
+	reads := 0
+	var err error
+	for err == nil {
+		var n int
+		n, err = s.Read(buf)
+		if n > 0 {
+			reads++
+			got = append(got, buf[:n]...)
+		}
+	}
+	if !errors.Is(err, io.ErrUnexpectedEOF) || !strings.Contains(err.Error(), "record 19") {
+		t.Fatalf("stream ended with %v, want the source's truncation at record 19", err)
+	}
+	want := Append(nil, m.TraceName, m.Records[:19])
+	want = want[:len(want)-1] // no trailer: the stream was cut
+	if !bytes.Equal(got, want) {
+		t.Fatalf("stream carried %d bytes before the cut, want the %d encoding the first 19 records", len(got), len(want))
+	}
+	if reads != 1+19 {
+		t.Fatalf("%d non-empty reads, want one for the header and one per record (20)", reads)
 	}
 }
